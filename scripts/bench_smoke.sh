@@ -7,7 +7,7 @@
 # single-channel baseline), BENCH_engines.json (engine-pool sweep, 1 -> 8
 # copier engines), BENCH_remap.json (zero-copy remap tier vs copy ablation),
 # BENCH_ipc_fuse.json (fused single-hop IPC vs the two-step ablation, gated
-# at >=1.4x on the 1 MiB socket row, >=1.5x on >=64 KiB binder parcels,
+# at >=1.4x on the 1 MiB and 4 MiB socket rows, >=1.5x on >=64 KiB binder parcels,
 # >=90% fused rate on the pipelined qd4 rows, and >=1.8x on the
 # proxy-forwarded pipeline-e2e rows — which must all be present),
 # BENCH_cow.json (CoW fault split handling), and BENCH_serve.json (open-loop

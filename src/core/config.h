@@ -44,9 +44,6 @@ struct CopierConfig {
   // materialize the copy lazily through the CoW-break path. Off = every byte
   // is physically moved (ablation / bench_remap "copy" mode).
   bool enable_remap_tier = true;
-  // Minimum aliasable interior: below this the remap + TLB-shootdown cost
-  // does not beat just copying the pages.
-  size_t remap_min_bytes = 2 * kPageSize;
 
   // Fused IPC fast path (DESIGN.md §12): when the receiver of a Binder
   // transaction or loopback-socket send has already posted its landing

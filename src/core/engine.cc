@@ -20,6 +20,13 @@ constexpr size_t kMaxFusedTasks = 8;
 // split so the piggyback dispatcher can balance AVX and DMA and segment bits
 // publish incrementally (copy-use pipelining, §4.1).
 constexpr size_t kMaxSubtaskBytes = 16 * kKiB;
+// Smallest aliasable interior: below two pages the remap + TLB-shootdown
+// cost does not beat just copying the pages.
+constexpr size_t kMinRemapPages = 2;
+// Engine decision dumps to stderr (accept/exec/abort/subtask; COPIER_TRACE2
+// adds the per-task pending scan), read once at startup.
+const bool kTrace = std::getenv("COPIER_TRACE") != nullptr;
+const bool kTrace2 = std::getenv("COPIER_TRACE2") != nullptr;
 
 // True when `dst_side` of `t` is the segment list of a scatter-gather task.
 // Bookkeeping lists (fused IPC, DESIGN.md §12) carry only chunk lengths and
@@ -315,7 +322,7 @@ void Engine::AcceptTask(Client& client, QueuePair& pair, CopyTask task, bool ker
     return;
   }
 
-  if (getenv("COPIER_TRACE") != nullptr) {
+  if (kTrace) {
     const PendingTask& pt = *pending;
     std::fprintf(stderr,
                  "[accept] task=%llu order=%llu k=%d lazy=%d dst=%llx src=%llx len=%zu\n",
@@ -977,7 +984,7 @@ Status Engine::BuildSubtasks(Client& client, PendingTask& task, size_t offset,
       st.dma_eligible = config_.use_dma && st.length >= timing_->dma_min_subtask_bytes;
       st.pages_cached = extra.pages_cached;
       st.pages_uncached = extra.pages_uncached;
-      if (getenv("COPIER_TRACE") != nullptr) {
+      if (kTrace) {
         std::fprintf(stderr, "[st] task=%llu off=%zu len=%zu dst=%p src=%p\n",
                      (unsigned long long)task.task.id, st.task_offset, st.length,
                      (void*)st.dst, (void*)st.src);
@@ -999,117 +1006,36 @@ void Engine::ExecuteRound(Client& client, std::vector<Subtask>& subtasks) {
     return;
   }
   const size_t nch = dma_.channel_count();
-
-  // Pick the DMA set. Piggybacking draws DMA candidates from the *tail* of
-  // the round (latter part of a large task — i-piggyback — or latter tasks of
-  // a fused round — e-piggyback) because later bytes have longer Copy-Use
-  // windows, and balances the two units' completion times.
-  std::vector<size_t> dma_set;
-  Cycles avx_time = 0;
-  for (const Subtask& st : subtasks) {
-    avx_time += timing_->CpuCopyCycles(hw::CopyUnitKind::kAvx, st.length);
-  }
-  if (config_.use_dma && config_.enable_piggyback) {
-    // Channel-aware greedy split: a candidate moves to DMA while the
-    // *aggregate* DMA makespan — each candidate placed on the least-loaded
-    // channel — stays within the tolerance over the remaining AVX time.
-    // Both units finish close together and the CPU never idles waiting
-    // (§4.3); the slack biases toward engaging DMA — a short confirmed wait
-    // beats leaving the second unit idle. Loads start at zero: the round
-    // balances its own work (with one channel this is exactly the serial
-    // dma_time accumulation of the single-engine split).
-    std::vector<Cycles> load(nch, 0);
-    const size_t tol = timing_->piggyback_greedy_tolerance_pct;
-    for (size_t i = subtasks.size(); i-- > 0;) {
-      const Subtask& st = subtasks[i];
-      if (!st.dma_eligible) {
-        continue;
-      }
-      const Cycles st_avx = timing_->CpuCopyCycles(hw::CopyUnitKind::kAvx, st.length);
-      const Cycles st_dma = timing_->DmaTransferCycles(st.length);
-      size_t least = 0;
-      for (size_t c = 1; c < nch; ++c) {
-        if (load[c] < load[least]) {
-          least = c;
-        }
-      }
-      Cycles makespan = load[least] + st_dma;
-      for (size_t c = 0; c < nch; ++c) {
-        if (c != least) {
-          makespan = std::max(makespan, load[c]);
-        }
-      }
-      const Cycles rem_avx = avx_time - st_avx;
-      if (makespan <= rem_avx + rem_avx * tol / 100) {
-        dma_set.push_back(i);
-        subtasks[i].on_dma = true;
-        load[least] += st_dma;
-        avx_time -= st_avx;
-      }
-    }
+  const RoundPlan plan = PlanRound(*timing_, config_, subtasks, nch);
+  for (size_t idx : plan.dma_set) {
+    subtasks[idx].on_dma = true;
   }
 
-  // Submit the DMA side: one descriptor batch per channel, chunks assigned
-  // least-loaded-first. A large subtask is chunked across channels only when
-  // the round has fewer DMA subtasks than channels (otherwise whole subtasks
-  // already spread, and chunking would just multiply per-descriptor cost).
-  struct RoundChunk {
-    size_t subtask = 0;  // index into `subtasks`
-    size_t offset = 0;   // byte offset within the subtask
-    size_t length = 0;
-  };
+  // Submit the DMA side: the plan's descriptor batch on each channel.
   struct SubmittedBatch {
     Cycles completion = 0;
     uint64_t bytes = 0;
-    std::vector<RoundChunk> chunks;
+    const std::vector<RoundChunk>* chunks = nullptr;
   };
   std::vector<SubmittedBatch> submitted;
   std::vector<RoundChunk> ring_full_chunks;  // partial fallbacks, AVX below
-  if (!dma_set.empty()) {
-    struct ChannelBatch {
-      std::vector<hw::DmaDescriptor> descs;
-      std::vector<RoundChunk> chunks;
-      uint64_t bytes = 0;
-    };
-    std::vector<ChannelBatch> batches(nch);
-    std::vector<Cycles> load(nch, 0);
-    const bool chunk_large = nch > 1 && dma_set.size() < nch;
-    Cycles translate = 0;
-    for (size_t idx : dma_set) {
-      const Subtask& st = subtasks[idx];
-      // DMA needs explicit physical addresses: ~240 cycles per page-table
-      // walk, amortized by the ATCache (§4.3). CPU copies pay nothing (MMU).
-      translate += st.pages_cached * timing_->atcache_hit_cycles +
-                   st.pages_uncached * timing_->va_translate_cycles_per_page;
-      size_t pieces = 1;
-      if (chunk_large && st.length >= 2 * timing_->dma_min_subtask_bytes) {
-        pieces = std::min(nch, st.length / timing_->dma_min_subtask_bytes);
-      }
-      const size_t base = st.length / pieces;
-      size_t off = 0;
-      for (size_t p = 0; p < pieces; ++p) {
-        const size_t len = (p + 1 == pieces) ? st.length - off : base;
-        size_t least = 0;
-        for (size_t c = 1; c < nch; ++c) {
-          if (load[c] < load[least]) {
-            least = c;
-          }
-        }
-        batches[least].descs.push_back({st.dst + off, st.src + off, len});
-        batches[least].chunks.push_back({idx, off, len});
-        batches[least].bytes += len;
-        load[least] += timing_->DmaTransferCycles(len);
-        off += len;
-      }
-    }
-    ChargeCtx(ctx_, translate);
+  if (!plan.dma_set.empty()) {
+    ChargeCtx(ctx_, plan.translate_cycles);
+    std::vector<hw::DmaDescriptor> descs;
     for (size_t c = 0; c < nch; ++c) {
-      ChannelBatch& b = batches[c];
-      if (b.descs.empty()) {
+      const std::vector<RoundChunk>& chunks = plan.channel_chunks[c];
+      if (chunks.empty()) {
         continue;
       }
-      ChargeCtx(ctx_, dma_.SubmissionCost(b.descs.size()));
-      auto sub_or = dma_.SubmitOn(c, b.descs, CtxNow(ctx_));
+      descs.clear();
+      uint64_t bytes = 0;
+      for (const RoundChunk& ch : chunks) {
+        const Subtask& st = subtasks[ch.subtask];
+        descs.push_back({st.dst + ch.offset, st.src + ch.offset, ch.length});
+        bytes += ch.length;
+      }
+      ChargeCtx(ctx_, dma_.SubmissionCost(descs.size()));
+      auto sub_or = dma_.SubmitOn(c, descs, CtxNow(ctx_));
       if (!sub_or.ok()) {
         // Ring full on this channel: its chunks fall back to the CPU (the
         // failed attempt stays charged — the descriptors were written before
@@ -1119,7 +1045,7 @@ void Engine::ExecuteRound(Client& client, std::vector<Subtask>& subtasks) {
         if (overload_ != nullptr) {
           ++overload_->ring_full_events;
         }
-        for (const RoundChunk& ch : b.chunks) {
+        for (const RoundChunk& ch : chunks) {
           if (ch.offset == 0 && ch.length == subtasks[ch.subtask].length) {
             subtasks[ch.subtask].on_dma = false;
           } else {
@@ -1128,8 +1054,8 @@ void Engine::ExecuteRound(Client& client, std::vector<Subtask>& subtasks) {
         }
         continue;
       }
-      submitted.push_back({sub_or->completion_time, b.bytes, std::move(b.chunks)});
-      stats_.dma_bytes_submitted += b.bytes;
+      submitted.push_back({sub_or->completion_time, bytes, &chunks});
+      stats_.dma_bytes_submitted += bytes;
       ++stats_.dma_batches_submitted;
     }
   }
@@ -1191,12 +1117,12 @@ void Engine::ExecuteRound(Client& client, std::vector<Subtask>& subtasks) {
     // Completion times were captured at submission, so even an engine that
     // later steals this client never touches this engine's channels.
     ++stats_.dma_rounds_parked;
-    for (SubmittedBatch& b : submitted) {
+    for (const SubmittedBatch& b : submitted) {
       Client::ParkedDma parked;
       parked.completion_time = b.completion;
       parked.bytes = b.bytes;
-      parked.segs.reserve(b.chunks.size());
-      for (const RoundChunk& ch : b.chunks) {
+      parked.segs.reserve(b.chunks->size());
+      for (const RoundChunk& ch : *b.chunks) {
         Subtask& st = subtasks[ch.subtask];
         const size_t task_off = st.task_offset + ch.offset;
         parked.segs.push_back({st.owner, task_off, ch.length});
@@ -1226,7 +1152,7 @@ void Engine::ExecuteRound(Client& client, std::vector<Subtask>& subtasks) {
   }
   dma_.Poll(CtxNow(ctx_));
   for (const SubmittedBatch& b : submitted) {
-    for (const RoundChunk& ch : b.chunks) {
+    for (const RoundChunk& ch : *b.chunks) {
       Subtask& st = subtasks[ch.subtask];
       MarkProgress(client, *st.owner, st.task_offset + ch.offset, ch.length, CtxNow(ctx_));
     }
@@ -1397,7 +1323,7 @@ Status Engine::CopyRange(Client& client, PendingTask& task, size_t offset, size_
       }
     }
 
-    if (getenv("COPIER_TRACE") != nullptr) {
+    if (kTrace) {
       std::fprintf(stderr, "[exec] task=%llu order=%llu dst=%llx run=[%zu,%zu) live:",
                    (unsigned long long)task.task.id, (unsigned long long)task.order,
                    (unsigned long long)task.task.dst.start(), run_start, run_end);
@@ -1417,7 +1343,7 @@ Status Engine::CopyRange(Client& client, PendingTask& task, size_t offset, size_
       for (auto [xs, xe] : exec) {
         std::vector<SourcePiece> sources;
         ResolveSources(client, task, xs, xe - xs, depth, &sources);
-        if (getenv("COPIER_TRACE") != nullptr) {
+        if (kTrace) {
           size_t total = 0;
           std::fprintf(stderr, "[src] task=%llu run=[%zu,%zu):",
                        (unsigned long long)task.task.id, xs, xe);
@@ -1497,21 +1423,30 @@ bool Engine::RemapCandidate(const PendingTask& task, size_t start, size_t end, s
   }
   const uint64_t lo = AlignUp(dst.va + std::max(start, pfx), kPageSize);
   const uint64_t hi = AlignDown(dst.va + end, kPageSize);
-  const size_t min_bytes = std::max<size_t>(config_.remap_min_bytes, kPageSize);
-  if (lo >= hi || hi - lo < min_bytes) {
+  if (lo >= hi || hi - lo < kMinRemapPages * kPageSize) {
     return false;
   }
   *rs = lo - dst.va;
   *re = hi - dst.va;
   // Fused IPC tasks (bookkeeping SgList) have a receiver latency-blocked on
   // the window descriptor, so the alias is taken only when the PTE/shootdown
-  // work beats the single engine copy it would replace; bulk amemcpy-style
-  // tasks take the alias for the moved-bytes win alone.
+  // work beats the round the executor would run instead: the interior cut
+  // into subtasks and planned over this engine's DMA channels, every page
+  // priced as a cold translation. Bulk amemcpy-style tasks take the alias
+  // for the moved-bytes win alone.
   if (task.task.sg != nullptr && task.task.sg->bookkeeping) {
+    std::vector<Subtask> round;
+    for (uint64_t off = lo; off < hi; off += kMaxSubtaskBytes) {
+      Subtask st;
+      st.length = std::min<uint64_t>(kMaxSubtaskBytes, hi - off);
+      st.dma_eligible = config_.use_dma && st.length >= timing_->dma_min_subtask_bytes;
+      st.pages_uncached = static_cast<uint32_t>(st.length / kPageSize);
+      round.push_back(st);
+    }
     const size_t pages = (hi - lo) / kPageSize;
     const Cycles alias_cost =
         timing_->page_remap_cycles * pages + timing_->tlb_shootdown_cycles;
-    if (alias_cost >= timing_->CpuCopyCycles(hw::CopyUnitKind::kAvx, hi - lo)) {
+    if (alias_cost >= PlanRound(*timing_, config_, round, dma_.channel_count()).makespan) {
       return false;
     }
   }
@@ -1571,7 +1506,7 @@ bool Engine::TryRemapRange(Client& client, PendingTask& task, size_t rs, size_t 
 
 Status Engine::ExecuteTaskRange(Client& client, PendingTask& task, size_t offset, size_t length,
                                 int depth, bool must_land) {
-  if (getenv("COPIER_TRACE") != nullptr) {
+  if (kTrace) {
     std::fprintf(stderr, "[range] task=%llu off=%zu len=%zu depth=%d done=%d bytes=%zu\n",
                  (unsigned long long)task.task.id, offset, length, depth, task.Done(),
                  task.bytes_done);
@@ -1794,7 +1729,7 @@ void Engine::ApplyDeferredAborts(Client& client) {
     if (has_dependent) {
       ++remaining;
     } else {
-      if (getenv("COPIER_TRACE") != nullptr) {
+      if (kTrace) {
         std::fprintf(stderr, "[abort] task=%llu order=%llu dst=%llx len=%zu\n",
                      (unsigned long long)task.task.id, (unsigned long long)task.order,
                      (unsigned long long)task.task.dst.start(), task.task.length);
@@ -1835,7 +1770,7 @@ uint64_t Engine::ExecutePending(Client& client, uint64_t budget) {
     std::vector<PendingTask*> round;
     for (; scan < client.pending.size(); ++scan) {
       PendingTask& task = *client.pending[scan];
-      if (getenv("COPIER_TRACE2") != nullptr) {
+      if (kTrace2) {
         std::fprintf(stderr, "[scan] task=%llu done=%d bytes=%zu abreq=%d lazy=%d prom=%d\n",
                      (unsigned long long)task.task.id, task.Done(), task.bytes_done,
                      task.abort_requested, task.task.type == TaskType::kLazy, task.promoted);

@@ -36,6 +36,7 @@
 #include "src/core/atcache.h"
 #include "src/core/client.h"
 #include "src/core/config.h"
+#include "src/core/round_plan.h"
 #include "src/hw/dma_channel_pool.h"
 #include "src/hw/timing_model.h"
 
@@ -239,19 +240,8 @@ class Engine {
   const CopierConfig& config() const { return config_; }
 
  private:
-  struct Subtask {
-    uint8_t* dst = nullptr;
-    const uint8_t* src = nullptr;
-    size_t length = 0;
-    PendingTask* owner = nullptr;
-    size_t task_offset = 0;  // byte offset of this subtask within the task
-    bool dma_eligible = false;
-    bool on_dma = false;  // selected for the round's DMA batch (ExecuteRound)
-    // Translation work owed if this subtask goes to DMA (§4.3 ATCache): CPU
-    // copies translate through the MMU for free; DMA needs explicit VA->PA.
-    uint32_t pages_cached = 0;    // translations served by the ATCache
-    uint32_t pages_uncached = 0;  // page-table walks (~240 cycles each)
-  };
+  // Planner/executor parity probe (tests/ipc_fuse_test.cc).
+  friend class EngineRoundProbe;
 
   // --- ingestion --------------------------------------------------------------
   void IngestClient(Client& client);
@@ -308,7 +298,8 @@ class Engine {
   // task given resolved source pieces; pins user pages (proactive faults).
   Status BuildSubtasks(Client& client, PendingTask& task, size_t offset,
                        const std::vector<SourcePiece>& sources, std::vector<Subtask>* out);
-  // Executes one piggyback round over the subtasks; marks progress per owner.
+  // Executes the round PlanRound plans over the subtasks; marks progress per
+  // owner.
   void ExecuteRound(Client& client, std::vector<Subtask>& subtasks);
 
   // Resolves one user page to a host pointer through the ATCache; performs
@@ -318,9 +309,11 @@ class Engine {
                                      bool* cached);
 
   // --- zero-copy remap tier (DESIGN.md §11) -----------------------------------
-  // Geometric eligibility of task-local [start, end): a non-SG user->user
-  // copy whose sides are page-co-aligned with a page-multiple interior of at
-  // least remap_min_bytes. On success *rs/*re bound the aliasable interior.
+  // Eligibility of task-local [start, end): a non-SG user->user copy whose
+  // sides are page-co-aligned with a page-multiple interior of at least
+  // kMinRemapPages pages. A fused IPC task additionally needs the alias to
+  // beat the planned copy round (PlanRound) of that interior. On success
+  // *rs/*re bound the aliasable interior.
   bool RemapCandidate(const PendingTask& task, size_t start, size_t end, size_t* rs,
                       size_t* re) const;
   // True when the resolved `sources` (covering task-local [start, ...)) back

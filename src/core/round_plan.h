@@ -1,0 +1,74 @@
+// RoundPlan — the piggyback dispatcher's cost function for one execution
+// round (§4.3).
+//
+// A round is a list of physically contiguous subtasks (one large task's
+// pieces — i-piggyback — or several adjacent tasks' — e-piggyback). The plan
+// decides which subtasks go to the DMA channels, lays their descriptors out
+// per channel, and prices the round's critical path in virtual cycles. The
+// engine executes exactly this plan (Engine::ExecuteRound), and prices the
+// copy a remap alias would replace with it (Engine::RemapCandidate), so the
+// tier choice and the executor agree on what a copy costs.
+#ifndef COPIER_SRC_CORE_ROUND_PLAN_H_
+#define COPIER_SRC_CORE_ROUND_PLAN_H_
+
+#include <cstddef>
+#include <cstdint>
+#include <span>
+#include <vector>
+
+#include "src/common/cycle_clock.h"
+#include "src/core/config.h"
+#include "src/hw/timing_model.h"
+
+namespace copier::core {
+
+struct PendingTask;
+
+// One physically contiguous piece of a round. Pricing reads only the length,
+// DMA eligibility and translation counts; the pointers are the executor's.
+struct Subtask {
+  uint8_t* dst = nullptr;
+  const uint8_t* src = nullptr;
+  size_t length = 0;
+  PendingTask* owner = nullptr;
+  size_t task_offset = 0;  // byte offset of this subtask within the task
+  bool dma_eligible = false;
+  bool on_dma = false;  // selected for the round's DMA batch (ExecuteRound)
+  // Translation work owed if this subtask goes to DMA (§4.3 ATCache): CPU
+  // copies translate through the MMU for free; DMA needs explicit VA->PA.
+  uint32_t pages_cached = 0;    // translations served by the ATCache
+  uint32_t pages_uncached = 0;  // page-table walks (~240 cycles each)
+};
+
+// A DMA descriptor's share of one subtask.
+struct RoundChunk {
+  size_t subtask = 0;  // index into the round's subtasks
+  size_t offset = 0;   // byte offset within the subtask
+  size_t length = 0;
+};
+
+struct RoundPlan {
+  // Subtasks moved to DMA, in pick order (tail first).
+  std::vector<size_t> dma_set;
+  // Descriptor batches, one per channel, in submission order (empty = the
+  // channel gets no batch this round).
+  std::vector<std::vector<RoundChunk>> channel_chunks;
+  // VA->PA translation of the DMA subtasks: the first CPU-side charge,
+  // before the channel doorbells and the copies left to the CPU.
+  Cycles translate_cycles = 0;
+  // The round's critical path on channels idle at round start: cycles until
+  // its last byte lands — the CPU side (translation, one SubmissionCost per
+  // non-empty batch, the CPU copies; with naive DMA each eligible subtask's
+  // submit, wait and completion check) or the last DMA batch, whichever is
+  // later.
+  Cycles makespan = 0;
+};
+
+// Plans one round over `channels` DMA channels under `config`'s dispatch mode
+// (use_dma, enable_piggyback). Pure: reads only its arguments.
+RoundPlan PlanRound(const hw::TimingModel& timing, const CopierConfig& config,
+                    std::span<const Subtask> subtasks, size_t channels);
+
+}  // namespace copier::core
+
+#endif  // COPIER_SRC_CORE_ROUND_PLAN_H_

@@ -49,8 +49,7 @@ class DmaEngine {
 
   // CPU cycles consumed by submitting a batch of `descriptors` entries.
   Cycles SubmissionCost(size_t descriptors) const {
-    return model_->dma_submit_cycles + (descriptors > 0 ? descriptors - 1 : 0) *
-           model_->dma_per_desc_cycles;
+    return model_->DmaSubmissionCost(descriptors);
   }
 
   // Wall-clock completion time of the given batch (valid until retired).

@@ -114,6 +114,10 @@ struct TimingModel {
   Cycles CpuCopyCycles(CopyUnitKind kind, size_t size) const;
   // Wall-clock duration of a DMA transfer once submitted (no CPU cost).
   Cycles DmaTransferCycles(size_t size) const;
+  // CPU cycles to submit one batch of `descriptors` entries on one channel.
+  Cycles DmaSubmissionCost(size_t descriptors) const {
+    return dma_submit_cycles + (descriptors > 0 ? descriptors - 1 : 0) * dma_per_desc_cycles;
+  }
 
   // Default model (deterministic; approximates the paper's testbed). Also the
   // model used by every bench unless --calibrate is passed.

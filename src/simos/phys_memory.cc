@@ -22,6 +22,11 @@ PhysicalMemory::PhysicalMemory(size_t bytes, AllocPolicy policy, uint64_t seed)
 }
 
 StatusOr<Pfn> PhysicalMemory::AllocFrame() {
+  std::lock_guard<std::mutex> lock(mu_);
+  return AllocFrameLocked();
+}
+
+StatusOr<Pfn> PhysicalMemory::AllocFrameLocked() {
   if (free_list_.empty()) {
     return ResourceExhausted("out of physical frames");
   }
@@ -40,8 +45,9 @@ StatusOr<Pfn> PhysicalMemory::AllocContiguous(size_t count) {
   if (count == 0) {
     return InvalidArgument("zero-frame contiguous allocation");
   }
+  std::lock_guard<std::mutex> lock(mu_);
   if (count == 1) {
-    return AllocFrame();
+    return AllocFrameLocked();
   }
   // Sort a copy of the free list and scan for a run. This is O(n log n) but
   // only used for skb pools and huge pages, both allocated rarely.
@@ -70,6 +76,7 @@ StatusOr<Pfn> PhysicalMemory::AllocContiguous(size_t count) {
 
 void PhysicalMemory::FreeFrame(Pfn pfn) {
   COPIER_DCHECK(pfn < total_frames_);
+  std::lock_guard<std::mutex> lock(mu_);
   COPIER_DCHECK(refcount_[pfn] > 0) << "double free of frame " << pfn;
   refcount_[pfn] = 0;
   free_list_.push_back(pfn);
@@ -77,6 +84,7 @@ void PhysicalMemory::FreeFrame(Pfn pfn) {
 
 void PhysicalMemory::Unref(Pfn pfn) {
   COPIER_DCHECK(pfn < total_frames_);
+  std::lock_guard<std::mutex> lock(mu_);
   COPIER_DCHECK(refcount_[pfn] > 0);
   if (--refcount_[pfn] == 0) {
     free_list_.push_back(pfn);

@@ -15,6 +15,50 @@
 #include "src/simos/binder.h"
 #include "tests/test_util.h"
 
+namespace copier::core {
+
+// Runs every task a client has queued as ONE execution round, exactly as
+// CopyRange hands a round to the executor, and reports the planner's price
+// next to what the executor did.
+class EngineRoundProbe {
+ public:
+  struct Result {
+    RoundPlan plan;
+    Cycles start = 0;        // engine clock when the round began
+    Cycles last_landed = 0;  // when the round's last byte landed
+    uint64_t parked_bytes = 0;
+  };
+
+  static Result RunQueuedAsOneRound(Engine& engine, Client& client) {
+    engine.IngestClient(client);
+    std::vector<Subtask> subtasks;
+    for (const auto& task : client.pending) {
+      std::vector<Engine::SourcePiece> sources;
+      engine.ResolveSources(client, *task, 0, task->task.length, 0, &sources);
+      EXPECT_TRUE(engine.BuildSubtasks(client, *task, 0, sources, &subtasks).ok());
+    }
+    Result r;
+    r.plan = PlanRound(*engine.timing_, engine.config_, subtasks, engine.dma_.channel_count());
+    r.start = engine.ctx()->now();
+    engine.ExecuteRound(client, subtasks);
+    // CPU-side bytes land as the copies finish; parked batches at their
+    // channel's completion time.
+    r.last_landed = engine.ctx()->now();
+    for (const Client::ParkedDma& batch : client.parked_dma) {
+      r.last_landed = std::max(r.last_landed, batch.completion_time);
+      r.parked_bytes += batch.bytes;
+    }
+    for (const auto& task : client.pending) {
+      if (task->bytes_done >= task->task.length) {
+        engine.CompleteTask(client, *task, /*fifo_ordered=*/true);
+      }
+    }
+    return r;
+  }
+};
+
+}  // namespace copier::core
+
 namespace copier::test {
 namespace {
 
@@ -544,6 +588,108 @@ TEST(IpcFuse, FusedBytesAccountingIsExact) {
     EXPECT_EQ(stack.service->TotalStats().fused_ipc_bytes, expected);
   }
   EXPECT_EQ(stack.service->ipc_fuse_stats().fused, windows);
+}
+
+// Under the default timing model a page-congruent 4 MiB fused send is copied,
+// not aliased: the PTE + shootdown work (650 cycles/page) loses to the planned
+// AVX+DMA round that copies the same pages. A second send into the same
+// window therefore finds plain pages on both sides — no CoW share to break.
+TEST(IpcFuse, DefaultTimingCopiesCongruentFusedSendInsteadOfAliasing) {
+  CopierStack stack;
+  simos::Process* peer = stack.kernel->CreateProcess("peer");
+  stack.service->AttachProcess(peer);
+  auto [tx, rx] = stack.kernel->CreateSocketPair();
+
+  const size_t n = 4 * kMiB;
+  const uint64_t src = stack.Map(n, "src");
+  auto win_or = peer->mem().MapAnonymous(n, "win", true);
+  ASSERT_TRUE(win_or.ok());
+  const auto send_into_window = [&](uint64_t seed) {
+    FillPattern(stack.proc->mem(), src, n, seed);
+    ASSERT_TRUE(stack.kernel->PostRecv(*peer, rx, *win_or, n, nullptr, {}).ok());
+    size_t sent_total = 0;
+    while (sent_total < n) {
+      auto sent = stack.kernel->Send(*stack.proc, tx, src + sent_total, n - sent_total,
+                                     nullptr);
+      ASSERT_TRUE(sent.ok()) << sent.status().ToString();
+      sent_total += *sent;
+      stack.service->DrainAll();
+    }
+    auto filled = stack.kernel->CompleteRecv(*peer, rx, nullptr);
+    ASSERT_TRUE(filled.ok());
+    ASSERT_EQ(*filled, n);
+    EXPECT_EQ(ReadAll(peer->mem(), *win_or, n), ReadAll(stack.proc->mem(), src, n));
+  };
+
+  send_into_window(71);
+  core::Engine::Stats stats = stack.service->TotalStats();
+  EXPECT_EQ(stats.fused_ipc_bytes, n);
+  EXPECT_EQ(stats.remapped_bytes, 0u);
+  EXPECT_GT(stats.avx_bytes + stats.dma_bytes_completed, 0u);
+
+  const uint64_t breaks_before =
+      peer->mem().alias_cow_breaks() + stack.proc->mem().alias_cow_breaks();
+  send_into_window(72);
+  stats = stack.service->TotalStats();
+  EXPECT_EQ(stats.fused_ipc_bytes, 2 * n);
+  EXPECT_EQ(stats.remapped_bytes, 0u);
+  EXPECT_EQ(peer->mem().alias_cow_breaks() + stack.proc->mem().alias_cow_breaks(),
+            breaks_before);
+}
+
+// The round planner is the executor's own cost function: for every round
+// shape its makespan is exactly the virtual time from round start until the
+// round's last byte lands — CPU copies or parked DMA batches, whichever is
+// later — and the bytes it sends to DMA are exactly the bytes parked.
+TEST(RoundPlanParity, MakespanIsWhenTheRoundsLastByteLands) {
+  const size_t small = hw::TimingModel::Default().dma_min_subtask_bytes / 2;
+  std::vector<size_t> mixed;
+  for (int i = 0; i < 16; ++i) {
+    mixed.push_back(i % 2 == 0 ? small : 16 * kKiB);
+  }
+  const std::vector<std::vector<size_t>> shapes = {
+      {2 * kMiB},                          // i-piggyback over one large task
+      std::vector<size_t>(64, 16 * kKiB),  // e-piggyback over 64 adjacent tasks
+      {96 * kKiB},                         // fewer DMA subtasks than channels: chunked
+      mixed,                               // sub-threshold subtasks stay on AVX
+      std::vector<size_t>(8, small),       // nothing DMA-eligible
+  };
+  for (const std::vector<size_t>& tasks : shapes) {
+    size_t total = 0;
+    for (size_t len : tasks) {
+      total += len;
+    }
+    SCOPED_TRACE(testing::Message() << tasks.size() << " task(s), " << total << " bytes");
+    core::CopierConfig config;  // defaults: 4 channels, parked DMA completion
+    ASSERT_TRUE(config.enable_async_dma_completion);
+    CopierStack stack(config);
+    const uint64_t src = stack.Map(total, "src");
+    const uint64_t dst = stack.Map(total, "dst");
+    FillPattern(stack.proc->mem(), src, total, total);
+    size_t off = 0;
+    for (size_t len : tasks) {
+      stack.lib->amemcpy(dst + off, src + off, len);
+      off += len;
+    }
+
+    const core::EngineRoundProbe::Result r =
+        core::EngineRoundProbe::RunQueuedAsOneRound(stack.service->engine(), *stack.client);
+    EXPECT_EQ(r.last_landed - r.start, r.plan.makespan);
+    uint64_t planned_dma = 0;
+    for (const auto& chunks : r.plan.channel_chunks) {
+      for (const core::RoundChunk& ch : chunks) {
+        planned_dma += ch.length;
+      }
+    }
+    EXPECT_EQ(r.parked_bytes, planned_dma);
+    const bool any_eligible =
+        std::any_of(tasks.begin(), tasks.end(), [small](size_t len) { return len > small; });
+    EXPECT_EQ(planned_dma > 0, any_eligible);
+
+    stack.service->DrainAll();
+    ASSERT_TRUE(stack.lib->csync_all().ok());
+    ExpectSameBytes(stack.proc->mem(), src, dst, total);
+  }
 }
 
 // Threaded service: the fused path's lock resolver yields to the copier
