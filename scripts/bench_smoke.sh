@@ -4,17 +4,19 @@
 # linear queue-depth sweep), BENCH_sched.json (sharded vs linear scheduler
 # sweep), BENCH_submit_batch.json (vectored vs per-skb submission sweep),
 # BENCH_dma_channels.json (async multi-channel DMA sweep vs the blocking
-# single-channel baseline), BENCH_engines.json (engine-pool sweep, 1 -> 8
-# copier engines), BENCH_remap.json (zero-copy remap tier vs copy ablation),
-# BENCH_ipc_fuse.json (fused single-hop IPC vs the two-step ablation, gated
-# at >=1.4x on the 1 MiB and 4 MiB socket rows, >=1.5x on >=64 KiB binder parcels,
+# single-channel baseline, remap tier pinned off, gated in-binary at >=1.5x
+# 1 -> 4 channel scaling: a miss exits non-zero), BENCH_engines.json
+# (engine-pool sweep, 1 -> 8 copier engines), BENCH_remap.json (zero-copy
+# remap tier vs copy ablation), BENCH_ipc_fuse.json (fused single-hop IPC
+# vs the two-step ablation, gated at >=1.4x on the 1 MiB and 4 MiB socket rows, >=1.5x on >=64 KiB binder parcels,
 # >=90% fused rate on the pipelined qd4 rows, and >=1.8x on the
 # proxy-forwarded pipeline-e2e rows — which must all be present),
 # BENCH_cow.json (CoW fault split handling), and BENCH_serve.json (open-loop
 # serving sweep: p50/p99/p999 vs offered load, overload admission policies) at
 # the repo root; fails if any sweep reports non-identical memory images, a
-# gated remap/fuse row misses its moved-bytes drop or speedup floor, or the
-# serving sweep's p999 knee fails to move right under load shedding.
+# gated remap/fuse row misses its moved-bytes drop or speedup floor, the DMA
+# channel sweep misses its scaling floor, or the serving sweep's p999 knee
+# fails to move right under load shedding.
 #
 # Usage: scripts/bench_smoke.sh [quick]
 #   quick — CI mode: the vectored-submission sweep runs its two-size subset

@@ -2,15 +2,21 @@
 
 namespace copier::core {
 
-const ATCache::Entry* ATCache::Lookup(uint32_t asid, uint64_t va) {
+std::optional<ATCache::Entry> ATCache::Lookup(uint32_t asid, uint64_t va) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(Key(asid, PageNumber(va)));
   if (it == entries_.end()) {
     ++misses_;
-    return nullptr;
+    return std::nullopt;
   }
   ++hits_;
-  return &it->second;
+  return it->second;
+}
+
+bool ATCache::HasWritable(uint32_t asid, uint64_t va) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = entries_.find(Key(asid, PageNumber(va)));
+  return it != entries_.end() && it->second.writable;
 }
 
 void ATCache::Insert(uint32_t asid, uint64_t va, uint8_t* host_page, bool writable) {

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
 
 #include "src/common/align.h"
@@ -24,8 +25,13 @@ class ATCache {
     bool writable = false;         // cached translation was write-capable
   };
 
-  // Looks up (asid, page of va). Returns nullptr on miss.
-  const Entry* Lookup(uint32_t asid, uint64_t va);
+  // Looks up (asid, page of va); counts a hit or a miss. The entry is copied
+  // out under the lock: a concurrent Invalidate may free the map node.
+  std::optional<Entry> Lookup(uint32_t asid, uint64_t va);
+
+  // True when (asid, page of va) holds a write-capable translation. Counts
+  // nothing: window registration probes with it (DESIGN.md §12).
+  bool HasWritable(uint32_t asid, uint64_t va);
 
   void Insert(uint32_t asid, uint64_t va, uint8_t* host_page, bool writable);
 

@@ -887,8 +887,8 @@ void Engine::ResolveSourcesContig(Client& client, PendingTask& task, const MemRe
 StatusOr<uint8_t*> Engine::ResolveUserPage(simos::AddressSpace* space, uint64_t va,
                                            bool for_write, bool* cached) {
   if (config_.enable_atcache) {
-    const ATCache::Entry* entry = atcache_.Lookup(space->asid(), va);
-    if (entry != nullptr && (!for_write || entry->writable)) {
+    const std::optional<ATCache::Entry> entry = atcache_.Lookup(space->asid(), va);
+    if (entry.has_value() && (!for_write || entry->writable)) {
       if (cached != nullptr) {
         *cached = true;
       }
@@ -953,6 +953,17 @@ StatusOr<Engine::HostRun> Engine::ResolveHostRun(const MemRef& ref, size_t max_l
 Status Engine::BuildSubtasks(Client& client, PendingTask& task, size_t offset,
                              const std::vector<SourcePiece>& sources,
                              std::vector<Subtask>* out) {
+  // A plain task whose source and destination overlap in one space is a
+  // memmove-style copy: its bytes move in subtask order on the CPU. DMA moves
+  // its bytes at submission, before the round's AVX head, so the image would
+  // depend on the split.
+  const bool self_overlap = task.task.sg == nullptr &&
+                            RefsOverlap(task.task.dst, task.task.length, task.task.src,
+                                        task.task.length);
+  const bool dma_ok = config_.use_dma && !self_overlap;
+  // Host start of the current chain of continuing subtasks (both sides).
+  const uint8_t* chain_dst = nullptr;
+  const uint8_t* chain_src = nullptr;
   size_t dst_cursor = offset;
   for (const SourcePiece& piece : sources) {
     size_t piece_pos = 0;
@@ -981,7 +992,21 @@ Status Engine::BuildSubtasks(Client& client, PendingTask& task, size_t offset,
       st.src = src_or->host;
       st.owner = &task;
       st.task_offset = dst_cursor;
-      st.dma_eligible = config_.use_dma && st.length >= timing_->dma_min_subtask_bytes;
+      st.dma_eligible = dma_ok && st.length >= timing_->dma_min_subtask_bytes;
+      // One descriptor may cover a chain of subtasks that continue each other
+      // on both sides while the chain's source and destination stay disjoint.
+      const Subtask* prev = out->empty() ? nullptr : &out->back();
+      st.continues = prev != nullptr && prev->owner == &task &&
+                     prev->dst + prev->length == st.dst && prev->src + prev->length == st.src;
+      if (st.continues) {
+        const size_t chain_len = st.dst + st.length - chain_dst;
+        st.continues = !RangesOverlap(reinterpret_cast<uintptr_t>(chain_dst), chain_len,
+                                      reinterpret_cast<uintptr_t>(chain_src), chain_len);
+      }
+      if (!st.continues) {
+        chain_dst = st.dst;
+        chain_src = st.src;
+      }
       st.pages_cached = extra.pages_cached;
       st.pages_uncached = extra.pages_uncached;
       if (kTrace) {
@@ -1031,7 +1056,11 @@ void Engine::ExecuteRound(Client& client, std::vector<Subtask>& subtasks) {
       uint64_t bytes = 0;
       for (const RoundChunk& ch : chunks) {
         const Subtask& st = subtasks[ch.subtask];
-        descs.push_back({st.dst + ch.offset, st.src + ch.offset, ch.length});
+        if (ch.joins) {
+          descs.back().length += ch.length;
+        } else {
+          descs.push_back({st.dst + ch.offset, st.src + ch.offset, ch.length});
+        }
         bytes += ch.length;
       }
       ChargeCtx(ctx_, dma_.SubmissionCost(descs.size()));
@@ -1431,15 +1460,17 @@ bool Engine::RemapCandidate(const PendingTask& task, size_t start, size_t end, s
   // Fused IPC tasks (bookkeeping SgList) have a receiver latency-blocked on
   // the window descriptor, so the alias is taken only when the PTE/shootdown
   // work beats the round the executor would run instead: the interior cut
-  // into subtasks and planned over this engine's DMA channels, every page
-  // priced as a cold translation. Bulk amemcpy-style tasks take the alias
-  // for the moved-bytes win alone.
+  // into host-contiguous subtasks (as the sequential allocator backs it) and
+  // planned over this engine's DMA channels, every page priced as a cold
+  // translation. Bulk amemcpy-style tasks take the alias for the moved-bytes
+  // win alone.
   if (task.task.sg != nullptr && task.task.sg->bookkeeping) {
     std::vector<Subtask> round;
     for (uint64_t off = lo; off < hi; off += kMaxSubtaskBytes) {
       Subtask st;
       st.length = std::min<uint64_t>(kMaxSubtaskBytes, hi - off);
       st.dma_eligible = config_.use_dma && st.length >= timing_->dma_min_subtask_bytes;
+      st.continues = !round.empty();  // one VA-contiguous interior
       st.pages_uncached = static_cast<uint32_t>(st.length / kPageSize);
       round.push_back(st);
     }

@@ -285,12 +285,14 @@ void CopierLinux::NoteFuseEvent(simos::FuseEvent event) { service_->NoteIpcFuseE
 void CopierLinux::RegisterWindow(simos::Process* proc, uint64_t va, size_t length,
                                  ExecContext* ctx) {
   // Posting a window is registration (DESIGN.md §12): like an RDMA MR or
-  // io_uring provided buffers, the pages are walked once at post time —
-  // faulted in, write-translated, and their translations published to the
-  // service's address-transfer cache — so the fused task's DMA channels hit
-  // warm entries instead of paying the per-page walk while the peer waits.
-  // The receiver pays for the walk here, overlapped with the peer's send; a
-  // later mapping change invalidates the entries through the usual listener.
+  // io_uring provided buffers, the pages are walked at post time — faulted
+  // in, write-translated, and their translations published to every engine's
+  // address-transfer cache — so the fused task's DMA channels hit warm
+  // entries instead of paying the per-page walk while the peer waits. Windows
+  // are reused, so a page every engine already holds write-capable is warm:
+  // it costs one cache probe, not a walk. A mapping change (munmap, fork,
+  // alias) invalidates the entries through the usual listener, and the next
+  // post walks those pages again.
   if (proc == nullptr || length == 0 || !SupportsFusedIpc() ||
       !service_->config().enable_atcache) {
     return;
@@ -298,8 +300,17 @@ void CopierLinux::RegisterWindow(simos::Process* proc, uint64_t va, size_t lengt
   simos::AddressSpace& space = proc->mem();
   const uint64_t first = PageBase(va);
   const uint64_t last = PageBase(va + length - 1);
-  size_t pages = 0;
+  const hw::TimingModel& timing = service_->timing();
+  Cycles cycles = 0;
   for (uint64_t page = first; page <= last; page += kPageSize) {
+    bool warm = true;
+    for (size_t i = 0; i < service_->engine_count() && warm; ++i) {
+      warm = service_->engine(i).atcache().HasWritable(space.asid(), page);
+    }
+    if (warm) {
+      cycles += timing.atcache_hit_cycles;
+      continue;
+    }
     auto pfn_or = space.TranslateWrite(page, ctx);
     if (!pfn_or.ok()) {
       break;  // unmapped tail: the copy that tries to land there reports kFault
@@ -308,9 +319,9 @@ void CopierLinux::RegisterWindow(simos::Process* proc, uint64_t va, size_t lengt
     for (size_t i = 0; i < service_->engine_count(); ++i) {
       service_->engine(i).atcache().Insert(space.asid(), page, host, /*writable=*/true);
     }
-    ++pages;
+    cycles += timing.va_translate_cycles_per_page;
   }
-  ChargeCtx(ctx, service_->timing().va_translate_cycles_per_page * pages);
+  ChargeCtx(ctx, cycles);
 }
 
 Status CopierLinux::CopyFused(const simos::FusedCopyOp& op) {

@@ -60,8 +60,9 @@ class CopierLinux : public simos::SimKernel::TrapHooks, public simos::KernelCopy
   bool SupportsForwardFuse() const override;
   Status CopyFused(const simos::FusedCopyOp& op) override;
   void NoteFuseEvent(simos::FuseEvent event) override;
-  // Pre-translates the posted window into every engine's ATCache (one walk,
-  // one shared registration table) so fused DMA lands on warm translations.
+  // Pre-translates the posted window into every engine's ATCache so fused
+  // DMA lands on warm translations. Only pages some engine lacks as a
+  // write-capable entry are walked; a re-posted warm page costs one probe.
   void RegisterWindow(simos::Process* proc, uint64_t va, size_t length,
                       ExecContext* ctx) override;
   Status SyncKernel(simos::Process* proc, ExecContext* ctx) override;

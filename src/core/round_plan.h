@@ -3,9 +3,11 @@
 //
 // A round is a list of physically contiguous subtasks (one large task's
 // pieces — i-piggyback — or several adjacent tasks' — e-piggyback). The plan
-// decides which subtasks go to the DMA channels, lays their descriptors out
-// per channel, and prices the round's critical path in virtual cycles. The
-// engine executes exactly this plan (Engine::ExecuteRound), and prices the
+// decides which subtasks go to the DMA channels, lays them out per channel as
+// few descriptors as host contiguity allows (a host-contiguous DMA tail is one
+// near-equal block per channel), and prices the round's critical path in
+// virtual cycles. The engine executes exactly this plan
+// (Engine::ExecuteRound), and prices the
 // copy a remap alias would replace with it (Engine::RemapCandidate), so the
 // tier choice and the executor agree on what a copy costs.
 #ifndef COPIER_SRC_CORE_ROUND_PLAN_H_
@@ -34,6 +36,10 @@ struct Subtask {
   size_t task_offset = 0;  // byte offset of this subtask within the task
   bool dma_eligible = false;
   bool on_dma = false;  // selected for the round's DMA batch (ExecuteRound)
+  // Continues the round's previous subtask: same task, next bytes, and
+  // host-contiguous on both sides with the merged source and destination
+  // disjoint, so one descriptor's memcpy equals the per-subtask copies.
+  bool continues = false;
   // Translation work owed if this subtask goes to DMA (§4.3 ATCache): CPU
   // copies translate through the MMU for free; DMA needs explicit VA->PA.
   uint32_t pages_cached = 0;    // translations served by the ATCache
@@ -45,6 +51,9 @@ struct RoundChunk {
   size_t subtask = 0;  // index into the round's subtasks
   size_t offset = 0;   // byte offset within the subtask
   size_t length = 0;
+  // Extends the descriptor of the channel's previous chunk, whose subtask
+  // this one continues, instead of starting a new descriptor.
+  bool joins = false;
 };
 
 struct RoundPlan {

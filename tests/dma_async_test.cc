@@ -170,7 +170,10 @@ TEST(AsyncDma, RingFullFallbackCountsAndStaysCorrect) {
   config.dma_channel_count = 1;
   config.dma_ring_slots = 1;  // one in-flight batch: the next round bounces
   config.enable_remap_tier = false;  // force bytes onto the DMA path
-  CopierStack stack(config);
+  // Fragmented frames keep every subtask its own descriptor, so a round's
+  // batch outgrows the 1-slot ring (host-contiguous copies coalesce into one
+  // descriptor per channel and would always fit).
+  CopierStack stack(config, simos::PhysicalMemory::AllocPolicy::kFragmented);
   const size_t n = 256 * kKiB;
   std::vector<std::pair<uint64_t, uint64_t>> copies;
   for (int i = 0; i < 4; ++i) {
@@ -336,6 +339,32 @@ INSTANTIATE_TEST_SUITE_P(VectoredAndPerOp, AsyncDmaDifferential, ::testing::Bool
                          [](const ::testing::TestParamInfo<bool>& info) {
                            return info.param ? "vectored" : "per_op";
                          });
+
+// A memmove-style amemcpy (source and destination overlap in one space) moves
+// its bytes on the CPU in subtask order: DMA would move the tail's bytes at
+// submission, before the AVX head reads them, so the image would depend on
+// the channel count. Every DMA configuration lands the no-DMA image.
+TEST(AsyncDma, SelfOverlappingCopyStaysOnTheCpu) {
+  const auto run = [](size_t channels, bool async, bool use_dma) {
+    core::CopierConfig config;
+    config.dma_channel_count = channels;
+    config.enable_async_dma_completion = async;
+    config.use_dma = use_dma;
+    CopierStack stack(config);
+    const size_t n = 64 * kKiB;
+    const size_t shift = 8 * kKiB;
+    const uint64_t buf = stack.Map(n + shift);
+    FillPattern(stack.proc->mem(), buf, n + shift, 77);
+    stack.lib->amemcpy(buf + shift, buf, n);
+    stack.service->DrainAll();
+    EXPECT_TRUE(stack.lib->csync_all().ok());
+    EXPECT_EQ(stack.service->TotalStats().dma_bytes_submitted, 0u);
+    return ReadAll(stack.proc->mem(), buf, n + shift);
+  };
+  const std::vector<uint8_t> cpu_only = run(1, /*async=*/false, /*use_dma=*/false);
+  EXPECT_EQ(run(1, /*async=*/false, /*use_dma=*/true), cpu_only) << "1 channel, blocking";
+  EXPECT_EQ(run(4, /*async=*/true, /*use_dma=*/true), cpu_only) << "4 channels, async";
+}
 
 // ---------------------------------------------------------------------------
 // Threaded mode: the reaper, the in-flight mirror and the re-queue counter

@@ -637,32 +637,149 @@ TEST(IpcFuse, DefaultTimingCopiesCongruentFusedSendInsteadOfAliasing) {
             breaks_before);
 }
 
+// Window registration (DESIGN.md §12) walks only pages some engine lacks as a
+// write-capable ATCache entry. A re-post of a warm window costs one probe per
+// page, and the probes are not counted as cache hits.
+TEST(IpcFuse, RepostedWarmWindowChargesProbesOnly) {
+  core::CopierConfig config;
+  config.engine_count = 2;
+  CopierStack stack(config);
+  ASSERT_EQ(stack.service->engine_count(), 2u);
+  simos::Process* peer = stack.kernel->CreateProcess("peer");
+  stack.service->AttachProcess(peer);
+  const hw::TimingModel& t = stack.service->timing();
+  const size_t pages = 16;
+  auto win_or = peer->mem().MapAnonymous(pages * kPageSize, "win", true);
+  ASSERT_TRUE(win_or.ok());
+  const auto register_cost = [&] {
+    ExecContext ctx;
+    stack.glue->RegisterWindow(peer, *win_or, pages * kPageSize, &ctx);
+    return ctx.now();
+  };
+  const auto lookups = [&] {
+    uint64_t n = 0;
+    for (size_t i = 0; i < stack.service->engine_count(); ++i) {
+      n += stack.service->engine(i).atcache().hits() +
+           stack.service->engine(i).atcache().misses();
+    }
+    return n;
+  };
+
+  EXPECT_EQ(register_cost(), pages * t.va_translate_cycles_per_page);
+  const uint64_t lookups_before = lookups();
+  EXPECT_EQ(register_cost(), pages * t.atcache_hit_cycles);
+  EXPECT_EQ(lookups(), lookups_before) << "registration probes must not count as lookups";
+
+  // One engine losing one page's entry makes that page cold again.
+  stack.service->engine(1).atcache().Invalidate(peer->mem().asid(), *win_or, kPageSize);
+  EXPECT_EQ(register_cost(),
+            t.va_translate_cycles_per_page + (pages - 1) * t.atcache_hit_cycles);
+}
+
+// A mapping change invalidates registered translations: after munmap and a
+// fresh mmap the next post walks again and the fused send lands in the new
+// frames; after fork the CoW-shared window is walked (breaking the share) and
+// the send lands in the receiver's frames, never in the child's.
+TEST(IpcFuse, RegistrationRewalksAfterMappingChanges) {
+  CopierStack stack;
+  simos::Process* peer = stack.kernel->CreateProcess("peer");
+  stack.service->AttachProcess(peer);
+  auto [tx, rx] = stack.kernel->CreateSocketPair();
+  const size_t n = 256 * kKiB;
+  const uint64_t src = stack.Map(n, "src");
+  core::ATCache& cache = stack.service->engine().atcache();
+  const uint32_t asid = peer->mem().asid();
+
+  const auto post_and_send = [&](uint64_t win, uint64_t seed) {
+    FillPattern(stack.proc->mem(), src, n, seed);
+    ExecContext post_ctx;
+    EXPECT_TRUE(stack.kernel->PostRecv(*peer, rx, win, n, &post_ctx, {}).ok());
+    size_t sent_total = 0;
+    while (sent_total < n) {
+      auto sent = stack.kernel->Send(*stack.proc, tx, src + sent_total, n - sent_total,
+                                     nullptr);
+      EXPECT_TRUE(sent.ok()) << sent.status().ToString();
+      if (!sent.ok()) {
+        break;
+      }
+      sent_total += *sent;
+      stack.service->DrainAll();
+    }
+    auto filled = stack.kernel->CompleteRecv(*peer, rx, nullptr);
+    EXPECT_TRUE(filled.ok());
+    EXPECT_EQ(ReadAll(peer->mem(), win, n), ReadAll(stack.proc->mem(), src, n));
+    return post_ctx.now();
+  };
+
+  auto win_or = peer->mem().MapAnonymous(n, "win", true);
+  ASSERT_TRUE(win_or.ok());
+  const Cycles cold_post = post_and_send(*win_or, 81);
+  const Cycles warm_post = post_and_send(*win_or, 82);
+  const hw::TimingModel& t = stack.service->timing();
+  EXPECT_EQ(cold_post - warm_post,
+            (n / kPageSize) * (t.va_translate_cycles_per_page - t.atcache_hit_cycles));
+
+  ASSERT_TRUE(peer->mem().Unmap(*win_or, n).ok());
+  for (uint64_t page = *win_or; page < *win_or + n; page += kPageSize) {
+    ASSERT_FALSE(cache.HasWritable(asid, page)) << "munmap left a registered page";
+  }
+  auto remapped_or = peer->mem().MapAnonymous(n, "win2", true);
+  ASSERT_TRUE(remapped_or.ok());
+  EXPECT_EQ(post_and_send(*remapped_or, 83), cold_post) << "a fresh window walks every page";
+
+  // Fork shares the window's frames CoW with the child; the parent's cached
+  // translations would point into the shared frames.
+  const std::vector<uint8_t> before_fork = ReadAll(peer->mem(), *remapped_or, n);
+  auto child_or = stack.kernel->Fork(*peer, nullptr);
+  ASSERT_TRUE(child_or.ok());
+  ASSERT_FALSE(cache.HasWritable(asid, *remapped_or)) << "fork must drop the registration";
+  post_and_send(*remapped_or, 84);
+  EXPECT_EQ(ReadAll((*child_or)->mem(), *remapped_or, n), before_fork)
+      << "the fused send leaked into the child's CoW frames";
+}
+
 // The round planner is the executor's own cost function: for every round
 // shape its makespan is exactly the virtual time from round start until the
 // round's last byte lands — CPU copies or parked DMA batches, whichever is
-// later — and the bytes it sends to DMA are exactly the bytes parked.
+// later — and the bytes it sends to DMA are exactly the bytes parked. On
+// host-contiguous memory a large task's DMA share coalesces into one
+// descriptor per used channel; on fragmented frames nothing merges.
 TEST(RoundPlanParity, MakespanIsWhenTheRoundsLastByteLands) {
   const size_t small = hw::TimingModel::Default().dma_min_subtask_bytes / 2;
   std::vector<size_t> mixed;
   for (int i = 0; i < 16; ++i) {
     mixed.push_back(i % 2 == 0 ? small : 16 * kKiB);
   }
-  const std::vector<std::vector<size_t>> shapes = {
-      {2 * kMiB},                          // i-piggyback over one large task
-      std::vector<size_t>(64, 16 * kKiB),  // e-piggyback over 64 adjacent tasks
-      {96 * kKiB},                         // fewer DMA subtasks than channels: chunked
-      mixed,                               // sub-threshold subtasks stay on AVX
-      std::vector<size_t>(8, small),       // nothing DMA-eligible
+  enum class Merges { kAny, kOnePerChannel, kNone };
+  struct Shape {
+    std::vector<size_t> tasks;
+    simos::PhysicalMemory::AllocPolicy policy =
+        simos::PhysicalMemory::AllocPolicy::kSequential;
+    Merges merges = Merges::kAny;
   };
-  for (const std::vector<size_t>& tasks : shapes) {
+  const std::vector<Shape> shapes = {
+      {{2 * kMiB}},                          // i-piggyback over one large task
+      {std::vector<size_t>(64, 16 * kKiB)},  // e-piggyback over 64 adjacent tasks
+      {{96 * kKiB}},                         // fewer DMA subtasks than channels: chunked
+      {mixed},                               // sub-threshold subtasks stay on AVX
+      {std::vector<size_t>(8, small)},       // nothing DMA-eligible
+      // Host-contiguous: the DMA tail is one run, one descriptor per channel.
+      {{4 * kMiB}, simos::PhysicalMemory::AllocPolicy::kSequential, Merges::kOnePerChannel},
+      // Fragmented frames: every chunk is its own descriptor.
+      {{2 * kMiB}, simos::PhysicalMemory::AllocPolicy::kFragmented, Merges::kNone},
+  };
+  for (const Shape& shape : shapes) {
+    const std::vector<size_t>& tasks = shape.tasks;
     size_t total = 0;
     for (size_t len : tasks) {
       total += len;
     }
-    SCOPED_TRACE(testing::Message() << tasks.size() << " task(s), " << total << " bytes");
+    const bool fragmented = shape.policy == simos::PhysicalMemory::AllocPolicy::kFragmented;
+    SCOPED_TRACE(testing::Message() << tasks.size() << " task(s), " << total << " bytes"
+                                    << (fragmented ? ", fragmented" : ""));
     core::CopierConfig config;  // defaults: 4 channels, parked DMA completion
     ASSERT_TRUE(config.enable_async_dma_completion);
-    CopierStack stack(config);
+    CopierStack stack(config, shape.policy);
     const uint64_t src = stack.Map(total, "src");
     const uint64_t dst = stack.Map(total, "dst");
     FillPattern(stack.proc->mem(), src, total, total);
@@ -676,15 +793,29 @@ TEST(RoundPlanParity, MakespanIsWhenTheRoundsLastByteLands) {
         core::EngineRoundProbe::RunQueuedAsOneRound(stack.service->engine(), *stack.client);
     EXPECT_EQ(r.last_landed - r.start, r.plan.makespan);
     uint64_t planned_dma = 0;
-    for (const auto& chunks : r.plan.channel_chunks) {
-      for (const core::RoundChunk& ch : chunks) {
+    size_t chunks = 0;
+    size_t descriptors = 0;
+    size_t busy_channels = 0;
+    for (const auto& channel : r.plan.channel_chunks) {
+      busy_channels += channel.empty() ? 0 : 1;
+      for (const core::RoundChunk& ch : channel) {
         planned_dma += ch.length;
+        ++chunks;
+        descriptors += ch.joins ? 0 : 1;
       }
     }
     EXPECT_EQ(r.parked_bytes, planned_dma);
     const bool any_eligible =
         std::any_of(tasks.begin(), tasks.end(), [small](size_t len) { return len > small; });
     EXPECT_EQ(planned_dma > 0, any_eligible);
+    if (shape.merges == Merges::kOnePerChannel) {
+      EXPECT_EQ(busy_channels, config.dma_channel_count);
+      EXPECT_EQ(descriptors, busy_channels);
+      EXPECT_GT(chunks, busy_channels) << "the shape must exercise merging";
+    } else if (shape.merges == Merges::kNone) {
+      EXPECT_GT(chunks, 0u);
+      EXPECT_EQ(descriptors, chunks);
+    }
 
     stack.service->DrainAll();
     ASSERT_TRUE(stack.lib->csync_all().ok());
