@@ -40,6 +40,9 @@ struct ChannelResult {
   uint64_t ring_full_fallbacks = 0;
   uint64_t dma_bytes = 0;
   uint64_t avx_bytes = 0;
+  uint64_t translate_cycles = 0;  // VA->PA charge of the DMA side
+  uint64_t atcache_hits = 0;      // ATCache extent probes
+  uint64_t atcache_misses = 0;
   uint64_t checksum = 0;
 };
 
@@ -70,6 +73,9 @@ ChannelResult RunChannels(const hw::TimingModel& t, size_t channels, bool async)
 
   const Cycles start = stack.service->engine_ctx().now();
   const core::Engine::Stats before = stack.service->TotalStats();
+  const core::ATCache& cache = stack.service->engine().atcache();
+  const uint64_t hits_before = cache.hits();
+  const uint64_t misses_before = cache.misses();
   for (int i = 0; i < kIters; ++i) {
     app->lib()->amemcpy(dst, src, kCopy, &app->ctx());
     COPIER_CHECK_OK(app->lib()->csync(dst, kCopy, &app->ctx()));
@@ -88,6 +94,9 @@ ChannelResult RunChannels(const hw::TimingModel& t, size_t channels, bool async)
   result.ring_full_fallbacks = after.dma_ring_full_fallbacks - before.dma_ring_full_fallbacks;
   result.dma_bytes = after.dma_bytes_completed - before.dma_bytes_completed;
   result.avx_bytes = after.avx_bytes - before.avx_bytes;
+  result.translate_cycles = after.translate_cycles - before.translate_cycles;
+  result.atcache_hits = cache.hits() - hits_before;
+  result.atcache_misses = cache.misses() - misses_before;
 
   uint64_t hash = 1469598103934665603ull;  // FNV-1a over the destination
   std::vector<uint8_t> image(kCopy);
@@ -117,7 +126,7 @@ int Run(int argc, char** argv) {
   const ChannelResult& base = sweep.front();  // 1 async channel
 
   TextTable table({"config", "GiB/s", "vs 1ch", "stall cyc", "drain cyc", "parked",
-                   "fallbacks", "DMA share", "identical"});
+                   "fallbacks", "DMA share", "xlate cyc", "ATC hit/miss", "identical"});
   auto add_row = [&](const ChannelResult& r, const char* label) {
     const double gibps = GiBps(r.bytes, r.cycles);
     table.AddRow({label, TextTable::Num(gibps),
@@ -126,6 +135,8 @@ int Run(int argc, char** argv) {
                   TextTable::Num(r.parked_rounds, 0),
                   TextTable::Num(r.ring_full_fallbacks, 0),
                   TextTable::Num(100.0 * r.dma_bytes / (r.dma_bytes + r.avx_bytes), 0) + "%",
+                  TextTable::Num(r.translate_cycles, 0),
+                  std::to_string(r.atcache_hits) + "/" + std::to_string(r.atcache_misses),
                   r.checksum == blocking.checksum ? "yes" : "NO"});
     if (r.checksum != blocking.checksum) {
       std::fprintf(stderr, "MISMATCH: %s image differs from the blocking baseline\n", label);
@@ -153,6 +164,9 @@ int Run(int argc, char** argv) {
           << ", \"parked_rounds\": " << r.parked_rounds
           << ", \"ring_full_fallbacks\": " << r.ring_full_fallbacks
           << ", \"dma_bytes\": " << r.dma_bytes << ", \"avx_bytes\": " << r.avx_bytes
+          << ", \"translate_cycles\": " << r.translate_cycles
+          << ", \"atcache_hits\": " << r.atcache_hits
+          << ", \"atcache_misses\": " << r.atcache_misses
           << ", \"speedup_vs_1ch_async\": "
           << static_cast<double>(base.cycles) / r.cycles << ", \"identical_result\": "
           << (r.checksum == blocking.checksum ? "true" : "false") << "}";

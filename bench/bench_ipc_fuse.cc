@@ -67,6 +67,9 @@ struct RunResult {
   uint64_t kfuncs = 0;
   uint64_t moved = 0;         // avx_bytes + dma_bytes_completed
   uint64_t fused_bytes = 0;   // Engine::Stats::fused_ipc_bytes
+  uint64_t translate_cycles = 0;  // VA->PA charge of the DMA side
+  uint64_t atcache_hits = 0;      // ATCache extent probes, all engines
+  uint64_t atcache_misses = 0;
   core::CopierService::IpcFuseStats fuse;  // full fallback ladder
 };
 
@@ -75,6 +78,11 @@ void FillStats(RunResult* r, BenchStack& stack) {
   r->kfuncs = stats.kfuncs_run;
   r->moved = stats.avx_bytes + stats.dma_bytes_completed;
   r->fused_bytes = stats.fused_ipc_bytes;
+  r->translate_cycles = stats.translate_cycles;
+  for (size_t i = 0; i < stack.service->engine_count(); ++i) {
+    r->atcache_hits += stack.service->engine(i).atcache().hits();
+    r->atcache_misses += stack.service->engine(i).atcache().misses();
+  }
   r->fuse = stack.service->ipc_fuse_stats();
 }
 
@@ -448,7 +456,8 @@ void Run(const hw::TimingModel& t, bool json) {
   }
 
   TextTable table({"scenario", "size KiB", "two-step", "fused", "speedup", "fused rate",
-                   "moved(2step)", "moved(fused)", "ok"});
+                   "moved(2step)", "moved(fused)", "xlate cyc(fused)", "ATC hit/miss(fused)",
+                   "ok"});
   bool all_ok = true;
   for (const Row& row : rows) {
     const bool ok = row.identical() && row.speed_ok() && row.rate_ok();
@@ -469,6 +478,8 @@ void Run(const hw::TimingModel& t, bool json) {
                   TextTable::Num(row.on.us), TextTable::Num(row.speedup(), 2) + "x",
                   TextTable::Num(row.on.fuse.fused_rate(), 2),
                   std::to_string(row.off.moved), std::to_string(row.on.moved),
+                  std::to_string(row.on.translate_cycles),
+                  std::to_string(row.on.atcache_hits) + "/" + std::to_string(row.on.atcache_misses),
                   ok ? "yes" : " NO "});
   }
   table.Print();
@@ -483,6 +494,9 @@ void Run(const hw::TimingModel& t, bool json) {
           << ", \"speedup\": " << row.speedup() << ", \"min_speedup\": " << row.min_speedup
           << ", \"moved_two_step\": " << row.off.moved << ", \"moved_fused\": " << row.on.moved
           << ", \"fused_ipc_bytes\": " << row.on.fused_bytes
+          << ", \"translate_cycles_fused\": " << row.on.translate_cycles
+          << ", \"atcache_hits_fused\": " << row.on.atcache_hits
+          << ", \"atcache_misses_fused\": " << row.on.atcache_misses
           << ", \"fused_rate\": " << row.on.fuse.fused_rate()
           << ", \"min_fused_rate\": " << row.min_fused_rate
           << ", \"forward_fused\": " << row.on.fuse.forward_fused

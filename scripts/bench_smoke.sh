@@ -11,12 +11,16 @@
 # vs the two-step ablation, gated at >=1.4x on the 1 MiB and 4 MiB socket rows, >=1.5x on >=64 KiB binder parcels,
 # >=90% fused rate on the pipelined qd4 rows, and >=1.8x on the
 # proxy-forwarded pipeline-e2e rows — which must all be present),
-# BENCH_cow.json (CoW fault split handling), and BENCH_serve.json (open-loop
-# serving sweep: p50/p99/p999 vs offered load, overload admission policies) at
-# the repo root; fails if any sweep reports non-identical memory images, a
-# gated remap/fuse row misses its moved-bytes drop or speedup floor, the DMA
-# channel sweep misses its scaling floor, or the serving sweep's p999 knee
-# fails to move right under load shedding.
+# BENCH_cow.json (CoW fault split handling), BENCH_serve.json (open-loop
+# serving sweep: p50/p99/p999 vs offered load, overload admission policies)
+# and, in full mode, BENCH_fig9.json (copy throughput with the ATCache
+# ablation, remap tier pinned off) at the repo root; fails if any sweep
+# reports non-identical memory images, a gated remap/fuse row misses its
+# moved-bytes drop or speedup floor, the DMA channel sweep misses its scaling
+# floor, the serving sweep's p999 knee fails to move right under load
+# shedding, or the figure-9 ATCache gain is negative on any row or not
+# positive at 64 KiB and 256 KiB with 75% repetition (gated in-binary: a miss
+# exits non-zero).
 #
 # Usage: scripts/bench_smoke.sh [quick]
 #   quick — CI mode: the vectored-submission sweep runs its two-size subset
@@ -108,8 +112,8 @@ fi
 
 if [[ "$QUICK" != "quick" ]]; then
   echo
-  "$BUILD_DIR"/bench/bench_fig9_copy_throughput
+  "$BUILD_DIR"/bench/bench_fig9_copy_throughput --json
 fi
 
 echo
-echo "bench smoke OK; results in BENCH_queue_depth.json + BENCH_sched.json + BENCH_submit_batch.json + BENCH_dma_channels.json + BENCH_engines.json + BENCH_remap.json + BENCH_ipc_fuse.json + BENCH_cow.json + BENCH_serve.json"
+echo "bench smoke OK; results in BENCH_queue_depth.json + BENCH_sched.json + BENCH_submit_batch.json + BENCH_dma_channels.json + BENCH_engines.json + BENCH_remap.json + BENCH_ipc_fuse.json + BENCH_cow.json + BENCH_serve.json (+ BENCH_fig9.json in full mode)"

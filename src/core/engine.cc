@@ -200,6 +200,7 @@ Engine::Stats Engine::stats() const {
   s.dma_stall_cycles = stats_.dma_stall_cycles;
   s.dma_drain_wait_cycles = stats_.dma_drain_wait_cycles;
   s.dma_rounds_parked = stats_.dma_rounds_parked;
+  s.translate_cycles = stats_.translate_cycles;
   s.kfuncs_run = stats_.kfuncs_run;
   s.ufuncs_queued = stats_.ufuncs_queued;
   s.lazy_absorbed_bytes = stats_.lazy_absorbed_bytes;
@@ -884,70 +885,83 @@ void Engine::ResolveSourcesContig(Client& client, PendingTask& task, const MemRe
 // Proactive fault handling and subtask construction (§4.3, §4.5.4)
 // ---------------------------------------------------------------------------
 
-StatusOr<uint8_t*> Engine::ResolveUserPage(simos::AddressSpace* space, uint64_t va,
-                                           bool for_write, bool* cached) {
+StatusOr<Engine::HostRun> Engine::ResolveUserSpan(simos::AddressSpace* space, uint64_t va,
+                                                   bool for_write, Cycles* lookup) {
   if (config_.enable_atcache) {
-    const std::optional<ATCache::Entry> entry = atcache_.Lookup(space->asid(), va);
-    if (entry.has_value() && (!for_write || entry->writable)) {
-      if (cached != nullptr) {
-        *cached = true;
-      }
-      return entry->host_page + PageOffset(va);
+    const std::optional<ATCache::Hit> hit = atcache_.Lookup(space->asid(), va, for_write);
+    if (hit.has_value()) {
+      *lookup = timing_->atcache_hit_cycles;
+      return HostRun{hit->host, hit->length};
     }
   }
   // Proactive fault handling: translate now; the translation itself faults
   // pages in (on-demand paging) and breaks CoW in the Copier context instead
   // of waiting for a hardware fault mid-copy. The explicit-translation cost
-  // (needed only when the subtask goes to DMA) is charged by ExecuteRound.
+  // (needed only when the bytes go to DMA) is charged by ExecuteRound.
   auto pfn_or = for_write ? space->TranslateWrite(va, ctx_) : space->TranslateRead(va, ctx_);
   if (!pfn_or.ok()) {
     return pfn_or.status();
-  }
-  if (cached != nullptr) {
-    *cached = false;
   }
   uint8_t* host_page = space->phys()->FrameData(*pfn_or);
   if (config_.enable_atcache) {
     atcache_.Insert(space->asid(), va, host_page, for_write);
   }
-  return host_page + PageOffset(va);
+  *lookup = timing_->va_translate_cycles_per_page;
+  return HostRun{host_page + PageOffset(va), kPageSize - PageOffset(va)};
 }
 
 // Resolves the longest host-contiguous run starting at `ref`, at most
 // `max_length` bytes. Subtask boundaries fall exactly where physical
 // contiguity breaks (Fig. 7-b). Kernel refs are contiguous by construction.
 StatusOr<Engine::HostRun> Engine::ResolveHostRun(const MemRef& ref, size_t max_length,
-                                                 bool for_write, HostRunExtra* extra) {
+                                                 bool for_write,
+                                                 std::vector<RunLookup>* lookups) {
+  lookups->clear();
   if (!ref.is_user()) {
     return HostRun{ref.host, max_length};
   }
-  bool cached = false;
-  auto first_or = ResolveUserPage(ref.space, ref.va, for_write, &cached);
-  if (!first_or.ok()) {
-    return first_or.status();
-  }
-  if (extra != nullptr) {
-    (cached ? extra->pages_cached : extra->pages_uncached) += 1;
-  }
-  HostRun run{*first_or, std::min(max_length, kPageSize - PageOffset(ref.va))};
-  uint8_t* expected = *first_or - PageOffset(ref.va) + kPageSize;
-  uint64_t next_va = PageBase(ref.va) + kPageSize;
+  HostRun run;
   while (run.length < max_length) {
-    auto next_or = ResolveUserPage(ref.space, next_va, for_write, &cached);
-    if (!next_or.ok()) {
-      return next_or.status();  // every byte of the range must be accessible
+    Cycles cycles = 0;
+    auto span_or = ResolveUserSpan(ref.space, ref.va + run.length, for_write, &cycles);
+    if (!span_or.ok()) {
+      return span_or.status();  // every byte of the range must be accessible
     }
-    if (*next_or != expected) {
+    if (run.length == 0) {
+      run.host = span_or->host;
+    } else if (span_or->host != run.host + run.length) {
       break;  // physical discontinuity
     }
-    if (extra != nullptr) {
-      (cached ? extra->pages_cached : extra->pages_uncached) += 1;
-    }
-    run.length += std::min(kPageSize, max_length - run.length);
-    expected += kPageSize;
-    next_va += kPageSize;
+    run.length = std::min(max_length, run.length + span_or->length);
+    lookups->push_back({run.length, cycles, next_lookup_id_++});
   }
   return run;
+}
+
+// The lookups of a resolved run (ascending `end`) that run bytes
+// [at, at + length) rely on.
+SideTranslation Engine::TranslationOf(const std::vector<RunLookup>& lookups, size_t at,
+                                      size_t length) const {
+  SideTranslation xlate;
+  if (lookups.empty()) {
+    return xlate;  // kernel memory: no translation
+  }
+  auto it = std::upper_bound(lookups.begin(), lookups.end(), at,
+                             [](size_t pos, const RunLookup& l) { return pos < l.end; });
+  xlate.first_id = xlate.last_id = it->id;
+  xlate.first = it->cycles;
+  const size_t lookup_start = it == lookups.begin() ? 0 : std::prev(it)->end;
+  if (lookup_start < at && config_.enable_atcache) {
+    // The lookup began in an earlier subtask, whose walk left the page
+    // cached: unless that subtask's DMA paid for it, one probe finds it.
+    xlate.first = std::min(xlate.first, timing_->atcache_hit_cycles);
+  }
+  while (it->end < at + length) {
+    ++it;
+    xlate.rest += it->cycles;
+    xlate.last_id = it->id;
+  }
+  return xlate;
 }
 
 Status Engine::BuildSubtasks(Client& client, PendingTask& task, size_t offset,
@@ -964,59 +978,64 @@ Status Engine::BuildSubtasks(Client& client, PendingTask& task, size_t offset,
   // Host start of the current chain of continuing subtasks (both sides).
   const uint8_t* chain_dst = nullptr;
   const uint8_t* chain_src = nullptr;
+  std::vector<RunLookup> dst_lookups;
+  std::vector<RunLookup> src_lookups;
   size_t dst_cursor = offset;
   for (const SourcePiece& piece : sources) {
     size_t piece_pos = 0;
     while (piece_pos < piece.length) {
-      // Resolve at most one subtask's worth per iteration so pages are
-      // translated exactly once each (no redundant walks). A scatter-gather
-      // destination additionally bounds the subtask at its segment edge.
+      // Resolve the longest run host-contiguous on both sides once — one
+      // lookup per cached extent — then cut it into subtasks of at most
+      // kMaxSubtaskBytes. A scatter-gather destination additionally bounds
+      // the run at its segment edge.
       size_t dst_contig = 0;
       const MemRef dref = SideRefAt(task.task, /*dst_side=*/true, dst_cursor, &dst_contig);
-      const size_t remaining =
-          std::min({piece.length - piece_pos, kMaxSubtaskBytes, dst_contig});
-      HostRunExtra extra;
-      auto dst_or = ResolveHostRun(dref, remaining, /*for_write=*/true, &extra);
+      const size_t remaining = std::min(piece.length - piece_pos, dst_contig);
+      auto dst_or = ResolveHostRun(dref, remaining, /*for_write=*/true, &dst_lookups);
       if (!dst_or.ok()) {
         return dst_or.status();
       }
       auto src_or = ResolveHostRun(piece.ref.Offset(piece_pos), dst_or->length,
-                                   /*for_write=*/false, &extra);
+                                   /*for_write=*/false, &src_lookups);
       if (!src_or.ok()) {
         return src_or.status();
       }
-
-      Subtask st;
-      st.length = std::min({dst_or->length, src_or->length, kMaxSubtaskBytes});
-      st.dst = dst_or->host;
-      st.src = src_or->host;
-      st.owner = &task;
-      st.task_offset = dst_cursor;
-      st.dma_eligible = dma_ok && st.length >= timing_->dma_min_subtask_bytes;
-      // One descriptor may cover a chain of subtasks that continue each other
-      // on both sides while the chain's source and destination stay disjoint.
-      const Subtask* prev = out->empty() ? nullptr : &out->back();
-      st.continues = prev != nullptr && prev->owner == &task &&
-                     prev->dst + prev->length == st.dst && prev->src + prev->length == st.src;
-      if (st.continues) {
-        const size_t chain_len = st.dst + st.length - chain_dst;
-        st.continues = !RangesOverlap(reinterpret_cast<uintptr_t>(chain_dst), chain_len,
-                                      reinterpret_cast<uintptr_t>(chain_src), chain_len);
+      const size_t run_length = std::min(dst_or->length, src_or->length);
+      for (size_t at = 0; at < run_length;) {
+        Subtask st;
+        st.length = std::min(kMaxSubtaskBytes, run_length - at);
+        st.dst = dst_or->host + at;
+        st.src = src_or->host + at;
+        st.owner = &task;
+        st.task_offset = dst_cursor + at;
+        st.dma_eligible = dma_ok && st.length >= timing_->dma_min_subtask_bytes;
+        // One descriptor may cover a chain of subtasks that continue each
+        // other on both sides while the chain's source and destination stay
+        // disjoint.
+        const Subtask* prev = out->empty() ? nullptr : &out->back();
+        st.continues = prev != nullptr && prev->owner == &task &&
+                       prev->dst + prev->length == st.dst && prev->src + prev->length == st.src;
+        if (st.continues) {
+          const size_t chain_len = st.dst + st.length - chain_dst;
+          st.continues = !RangesOverlap(reinterpret_cast<uintptr_t>(chain_dst), chain_len,
+                                        reinterpret_cast<uintptr_t>(chain_src), chain_len);
+        }
+        if (!st.continues) {
+          chain_dst = st.dst;
+          chain_src = st.src;
+        }
+        st.dst_xlate = TranslationOf(dst_lookups, at, st.length);
+        st.src_xlate = TranslationOf(src_lookups, at, st.length);
+        if (kTrace) {
+          std::fprintf(stderr, "[st] task=%llu off=%zu len=%zu dst=%p src=%p\n",
+                       (unsigned long long)task.task.id, st.task_offset, st.length,
+                       (void*)st.dst, (void*)st.src);
+        }
+        out->push_back(st);
+        at += st.length;
       }
-      if (!st.continues) {
-        chain_dst = st.dst;
-        chain_src = st.src;
-      }
-      st.pages_cached = extra.pages_cached;
-      st.pages_uncached = extra.pages_uncached;
-      if (kTrace) {
-        std::fprintf(stderr, "[st] task=%llu off=%zu len=%zu dst=%p src=%p\n",
-                     (unsigned long long)task.task.id, st.task_offset, st.length,
-                     (void*)st.dst, (void*)st.src);
-      }
-      out->push_back(st);
-      piece_pos += st.length;
-      dst_cursor += st.length;
+      piece_pos += run_length;
+      dst_cursor += run_length;
     }
   }
   return OkStatus();
@@ -1046,6 +1065,7 @@ void Engine::ExecuteRound(Client& client, std::vector<Subtask>& subtasks) {
   std::vector<RoundChunk> ring_full_chunks;  // partial fallbacks, AVX below
   if (!plan.dma_set.empty()) {
     ChargeCtx(ctx_, plan.translate_cycles);
+    stats_.translate_cycles += plan.translate_cycles;
     std::vector<hw::DmaDescriptor> descs;
     for (size_t c = 0; c < nch; ++c) {
       const std::vector<RoundChunk>& chunks = plan.channel_chunks[c];
@@ -1471,7 +1491,7 @@ bool Engine::RemapCandidate(const PendingTask& task, size_t start, size_t end, s
       st.length = std::min<uint64_t>(kMaxSubtaskBytes, hi - off);
       st.dma_eligible = config_.use_dma && st.length >= timing_->dma_min_subtask_bytes;
       st.continues = !round.empty();  // one VA-contiguous interior
-      st.pages_uncached = static_cast<uint32_t>(st.length / kPageSize);
+      st.dst_xlate.rest = (st.length / kPageSize) * timing_->va_translate_cycles_per_page;
       round.push_back(st);
     }
     const size_t pages = (hi - lo) / kPageSize;

@@ -141,6 +141,9 @@ class Engine {
     // (barrier/csync drains, dependency settles, end-of-work reaps).
     uint64_t dma_drain_wait_cycles = 0;
     uint64_t dma_rounds_parked = 0;  // rounds returned with DMA in flight
+    // VA->PA translation charged for the DMA side of rounds (ATCache extent
+    // probes and page walks, RoundPlan::translate_cycles).
+    uint64_t translate_cycles = 0;
     uint64_t kfuncs_run = 0;
     uint64_t ufuncs_queued = 0;
     uint64_t lazy_absorbed_bytes = 0;
@@ -287,13 +290,23 @@ class Engine {
     uint8_t* host = nullptr;
     size_t length = 0;
   };
-  struct HostRunExtra {
-    uint32_t pages_cached = 0;
-    uint32_t pages_uncached = 0;
+  // One lookup behind a resolved user run — an ATCache extent probe or a page
+  // walk — covering the run's bytes up to `end`; `cycles` is what DMA owes
+  // for it. Ids are unique per engine (SideTranslation).
+  struct RunLookup {
+    size_t end = 0;
+    Cycles cycles = 0;
+    uint64_t id = 0;
   };
-  // Longest host-contiguous run at `ref` (proactively faulting user pages).
+  // Longest host-contiguous run at `ref`, at most `max_length` bytes
+  // (proactively faulting user pages); `*lookups` receives the lookups that
+  // resolved it (none for kernel memory).
   StatusOr<HostRun> ResolveHostRun(const MemRef& ref, size_t max_length, bool for_write,
-                                   HostRunExtra* extra);
+                                   std::vector<RunLookup>* lookups);
+  // The lookups of a resolved run (ascending `end`) that run bytes
+  // [at, at + length) rely on.
+  SideTranslation TranslationOf(const std::vector<RunLookup>& lookups, size_t at,
+                                size_t length) const;
   // Builds physically contiguous subtasks for [offset, offset+length) of the
   // task given resolved source pieces; pins user pages (proactive faults).
   Status BuildSubtasks(Client& client, PendingTask& task, size_t offset,
@@ -302,11 +315,11 @@ class Engine {
   // owner.
   void ExecuteRound(Client& client, std::vector<Subtask>& subtasks);
 
-  // Resolves one user page to a host pointer through the ATCache; performs
-  // proactive fault handling. Returns the host pointer for `va`'s page and
-  // reports whether the translation hit the ATCache via `*cached`.
-  StatusOr<uint8_t*> ResolveUserPage(simos::AddressSpace* space, uint64_t va, bool for_write,
-                                     bool* cached);
+  // Resolves `va` to a host pointer and the host-contiguous bytes that follow
+  // it: one ATCache extent on a hit, else the rest of `va`'s page, walked
+  // with proactive fault handling and cached. `*lookup` gets the DMA price.
+  StatusOr<HostRun> ResolveUserSpan(simos::AddressSpace* space, uint64_t va, bool for_write,
+                                    Cycles* lookup);
 
   // --- zero-copy remap tier (DESIGN.md §11) -----------------------------------
   // Eligibility of task-local [start, end): a non-SG user->user copy whose
@@ -436,6 +449,7 @@ class Engine {
     RelaxedCounter dma_stall_cycles;
     RelaxedCounter dma_drain_wait_cycles;
     RelaxedCounter dma_rounds_parked;
+    RelaxedCounter translate_cycles;
     RelaxedCounter kfuncs_run;
     RelaxedCounter ufuncs_queued;
     RelaxedCounter lazy_absorbed_bytes;
@@ -469,6 +483,7 @@ class Engine {
   const hw::TimingModel* timing_;
   ExecContext* ctx_;
   ATCache atcache_;
+  uint64_t next_lookup_id_ = 1;  // RunLookup ids; 0 is never shared
   // Channel state: a standalone engine owns its pool; a pool-member engine
   // views a disjoint slice of the service's pool. Either way `dma_` is the
   // single access path.

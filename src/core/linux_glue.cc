@@ -289,26 +289,27 @@ void CopierLinux::RegisterWindow(simos::Process* proc, uint64_t va, size_t lengt
   // in, write-translated, and their translations published to every engine's
   // address-transfer cache — so the fused task's DMA channels hit warm
   // entries instead of paying the per-page walk while the peer waits. Windows
-  // are reused, so a page every engine already holds write-capable is warm:
-  // it costs one cache probe, not a walk. A mapping change (munmap, fork,
-  // alias) invalidates the entries through the usual listener, and the next
-  // post walks those pages again.
+  // are reused, so a range every engine already holds as a write-capable
+  // extent is warm: it costs one cache probe, whatever its length, not a
+  // walk per page. A mapping change (munmap, fork, alias, CoW break)
+  // invalidates the range through the usual listener, and the next post walks
+  // those pages again.
   if (proc == nullptr || length == 0 || !SupportsFusedIpc() ||
       !service_->config().enable_atcache) {
     return;
   }
   simos::AddressSpace& space = proc->mem();
-  const uint64_t first = PageBase(va);
-  const uint64_t last = PageBase(va + length - 1);
+  const uint64_t end = PageBase(va + length - 1) + kPageSize;
   const hw::TimingModel& timing = service_->timing();
   Cycles cycles = 0;
-  for (uint64_t page = first; page <= last; page += kPageSize) {
-    bool warm = true;
-    for (size_t i = 0; i < service_->engine_count() && warm; ++i) {
-      warm = service_->engine(i).atcache().HasWritable(space.asid(), page);
+  for (uint64_t page = PageBase(va); page < end;) {
+    size_t warm = end - page;
+    for (size_t i = 0; i < service_->engine_count() && warm > 0; ++i) {
+      warm = std::min(warm, service_->engine(i).atcache().WritableBytes(space.asid(), page));
     }
-    if (warm) {
+    if (warm > 0) {
       cycles += timing.atcache_hit_cycles;
+      page += warm;
       continue;
     }
     auto pfn_or = space.TranslateWrite(page, ctx);
@@ -320,6 +321,7 @@ void CopierLinux::RegisterWindow(simos::Process* proc, uint64_t va, size_t lengt
       service_->engine(i).atcache().Insert(space.asid(), page, host, /*writable=*/true);
     }
     cycles += timing.va_translate_cycles_per_page;
+    page += kPageSize;
   }
   ChargeCtx(ctx, cycles);
 }

@@ -61,8 +61,8 @@ class CopierLinux : public simos::SimKernel::TrapHooks, public simos::KernelCopy
   Status CopyFused(const simos::FusedCopyOp& op) override;
   void NoteFuseEvent(simos::FuseEvent event) override;
   // Pre-translates the posted window into every engine's ATCache so fused
-  // DMA lands on warm translations. Only pages some engine lacks as a
-  // write-capable entry are walked; a re-posted warm page costs one probe.
+  // DMA lands on warm translations. Only pages some engine lacks in a
+  // write-capable extent are walked; a re-posted warm extent costs one probe.
   void RegisterWindow(simos::Process* proc, uint64_t va, size_t length,
                       ExecContext* ctx) override;
   Status SyncKernel(simos::Process* proc, ExecContext* ctx) override;

@@ -15,6 +15,15 @@ size_t LeastLoaded(const std::vector<Cycles>& load) {
   return least;
 }
 
+// What DMA owes for one side of a subtask, given the id of the last lookup
+// already charged on that side. DMA subtasks are visited in round order, so a
+// lookup shared with an earlier DMA subtask is that subtask's last.
+Cycles Owed(const SideTranslation& xlate, uint64_t* charged) {
+  const bool shared = xlate.first_id != 0 && xlate.first_id == *charged;
+  *charged = xlate.last_id;
+  return (shared ? 0 : xlate.first) + xlate.rest;
+}
+
 // One copy-cost curve (TimingModel::avx or ::dma) memoized for the last length
 // asked. Most of a round's subtasks, and a run's pieces, share one length, and
 // each evaluation interpolates the curve through logarithms.
@@ -190,16 +199,22 @@ RoundPlan PlanRound(const hw::TimingModel& timing, const CopierConfig& config,
     }
   }
 
+  // DMA needs explicit physical addresses (§4.3): ~240 cycles per page walk,
+  // one ATCache probe per cached extent. Each side pays every lookup its DMA
+  // subtasks span once, even when a CPU subtask's bytes also relied on it.
+  // CPU copies pay nothing (MMU).
+  uint64_t dst_charged = 0;
+  uint64_t src_charged = 0;
+  for (size_t i = 0; i < subtasks.size(); ++i) {
+    if (on_dma[i]) {
+      plan.translate_cycles += Owed(subtasks[i].dst_xlate, &dst_charged) +
+                               Owed(subtasks[i].src_xlate, &src_charged);
+    }
+  }
+
   // Lay the DMA side out as priced: each piece of a run is one descriptor on
   // the least-loaded channel, its chunks in address order, every chunk after
-  // the first joining the piece's descriptor. DMA needs explicit physical
-  // addresses: ~240 cycles per page-table walk, amortized by the ATCache
-  // (§4.3). CPU copies pay nothing (MMU).
-  for (size_t idx : plan.dma_set) {
-    const Subtask& st = subtasks[idx];
-    plan.translate_cycles += st.pages_cached * timing.atcache_hit_cycles +
-                             st.pages_uncached * timing.va_translate_cycles_per_page;
-  }
+  // the first joining the piece's descriptor.
   std::vector<Cycles> load(channels, 0);
   for (const Run& run : side.runs()) {
     const size_t pieces = side.Pieces(run.length);

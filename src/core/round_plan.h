@@ -26,8 +26,20 @@ namespace copier::core {
 
 struct PendingTask;
 
+// The lookups that translated one side of a subtask — ATCache extent probes
+// and page walks — priced in cycles. A side's host run is resolved once and
+// cut into subtasks, so neighbouring subtasks share the lookups at their
+// edges: `first_id` / `last_id` name the lookups holding the side's first and
+// last byte, and PlanRound charges a shared lookup once. Id 0 is never shared.
+struct SideTranslation {
+  uint64_t first_id = 0;
+  uint64_t last_id = 0;
+  Cycles first = 0;  // the lookup holding the first byte
+  Cycles rest = 0;   // every later lookup, up to and including last_id's
+};
+
 // One physically contiguous piece of a round. Pricing reads only the length,
-// DMA eligibility and translation counts; the pointers are the executor's.
+// DMA eligibility and translation charges; the pointers are the executor's.
 struct Subtask {
   uint8_t* dst = nullptr;
   const uint8_t* src = nullptr;
@@ -40,10 +52,10 @@ struct Subtask {
   // host-contiguous on both sides with the merged source and destination
   // disjoint, so one descriptor's memcpy equals the per-subtask copies.
   bool continues = false;
-  // Translation work owed if this subtask goes to DMA (§4.3 ATCache): CPU
-  // copies translate through the MMU for free; DMA needs explicit VA->PA.
-  uint32_t pages_cached = 0;    // translations served by the ATCache
-  uint32_t pages_uncached = 0;  // page-table walks (~240 cycles each)
+  // Translation owed per side if this subtask goes to DMA (§4.3 ATCache):
+  // CPU copies translate through the MMU for free; DMA needs explicit VA->PA.
+  SideTranslation dst_xlate;
+  SideTranslation src_xlate;
 };
 
 // A DMA descriptor's share of one subtask.

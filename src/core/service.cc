@@ -799,6 +799,7 @@ Engine::Stats CopierService::TotalStats() const {
     total.dma_stall_cycles += s.dma_stall_cycles;
     total.dma_drain_wait_cycles += s.dma_drain_wait_cycles;
     total.dma_rounds_parked += s.dma_rounds_parked;
+    total.translate_cycles += s.translate_cycles;
     total.kfuncs_run += s.kfuncs_run;
     total.ufuncs_queued += s.ufuncs_queued;
     total.lazy_absorbed_bytes += s.lazy_absorbed_bytes;

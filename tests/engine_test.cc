@@ -193,6 +193,133 @@ TEST(ATCacheTest, InvalidationOnUnmap) {
   ExpectSameBytes(stack.proc->mem(), src, dst2, n);
 }
 
+// The extent cache, driven directly: host pointers come from one buffer, so
+// pages at adjacent offsets are host-contiguous.
+class ATCacheExtentTest : public ::testing::Test {
+ protected:
+  static constexpr uint32_t kAsid = 7;
+  static constexpr uint64_t kVa = 0x40000000;
+
+  uint64_t Va(size_t page) const { return kVa + page * kPageSize; }
+  uint8_t* Host(size_t page) { return frames_.data() + page * kPageSize; }
+
+  core::ATCache cache_;
+  std::vector<uint8_t> frames_ = std::vector<uint8_t>(8 * kPageSize);
+};
+
+TEST_F(ATCacheExtentTest, ContiguousPagesMergeAndOneLookupAnswersTheRun) {
+  for (size_t page : {2, 0, 3, 1}) {  // out of order: both neighbours merge
+    cache_.Insert(kAsid, Va(page), Host(page), /*writable=*/true);
+  }
+  auto hit = cache_.Lookup(kAsid, Va(0), /*for_write=*/true);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->host, Host(0));
+  EXPECT_EQ(hit->length, 4 * kPageSize);
+  hit = cache_.Lookup(kAsid, Va(1) + 100, /*for_write=*/false);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->host, Host(1) + 100);
+  EXPECT_EQ(hit->length, 3 * kPageSize - 100);
+  EXPECT_EQ(cache_.hits(), 2u);
+
+  // A page whose frame is not host-contiguous starts its own extent.
+  cache_.Insert(kAsid, Va(4), Host(6), /*writable=*/true);
+  hit = cache_.Lookup(kAsid, Va(0), /*for_write=*/true);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->length, 4 * kPageSize);
+  hit = cache_.Lookup(kAsid, Va(4), /*for_write=*/true);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->host, Host(6));
+  EXPECT_EQ(hit->length, kPageSize);
+}
+
+TEST_F(ATCacheExtentTest, InvalidatingAMiddlePageSplitsTheExtent) {
+  for (size_t page = 0; page < 5; ++page) {
+    cache_.Insert(kAsid, Va(page), Host(page), /*writable=*/true);
+  }
+  cache_.Invalidate(kAsid, Va(2) + 10, 1);
+  auto left = cache_.Lookup(kAsid, Va(0), /*for_write=*/true);
+  ASSERT_TRUE(left.has_value());
+  EXPECT_EQ(left->length, 2 * kPageSize);
+  EXPECT_FALSE(cache_.Lookup(kAsid, Va(2), /*for_write=*/false).has_value());
+  auto right = cache_.Lookup(kAsid, Va(3), /*for_write=*/true);
+  ASSERT_TRUE(right.has_value());
+  EXPECT_EQ(right->host, Host(3));
+  EXPECT_EQ(right->length, 2 * kPageSize);
+  EXPECT_EQ(cache_.misses(), 1u);
+
+  // Walking the page again rejoins both halves.
+  cache_.Insert(kAsid, Va(2), Host(2), /*writable=*/true);
+  EXPECT_EQ(cache_.WritableBytes(kAsid, Va(0)), 5 * kPageSize);
+}
+
+TEST_F(ATCacheExtentTest, ReadOnlyExtentNeverServesWritesNorMergesWithWritable) {
+  cache_.Insert(kAsid, Va(0), Host(0), /*writable=*/true);
+  cache_.Insert(kAsid, Va(1), Host(1), /*writable=*/false);
+  cache_.Insert(kAsid, Va(2), Host(2), /*writable=*/true);
+  EXPECT_EQ(cache_.WritableBytes(kAsid, Va(0)), kPageSize);
+  EXPECT_EQ(cache_.WritableBytes(kAsid, Va(1)), 0u);
+  EXPECT_EQ(cache_.WritableBytes(kAsid, Va(2)), kPageSize);
+  EXPECT_FALSE(cache_.Lookup(kAsid, Va(1), /*for_write=*/true).has_value());
+  auto read = cache_.Lookup(kAsid, Va(1), /*for_write=*/false);
+  ASSERT_TRUE(read.has_value());
+  EXPECT_EQ(read->host, Host(1));
+  EXPECT_EQ(read->length, kPageSize);
+
+  // A write walk (CoW break) replaces the read-only page and then merges.
+  cache_.Insert(kAsid, Va(1), Host(1), /*writable=*/true);
+  EXPECT_EQ(cache_.WritableBytes(kAsid, Va(0)), 3 * kPageSize);
+}
+
+TEST_F(ATCacheExtentTest, WholeSpaceInvalidationDropsOnlyThatAsid) {
+  for (size_t page = 0; page < 2; ++page) {
+    cache_.Insert(kAsid, Va(page), Host(page), /*writable=*/true);
+    cache_.Insert(kAsid + 1, Va(page), Host(page + 4), /*writable=*/true);
+  }
+  cache_.Invalidate(kAsid, 0, SIZE_MAX);
+  EXPECT_FALSE(cache_.Lookup(kAsid, Va(0), /*for_write=*/false).has_value());
+  EXPECT_FALSE(cache_.Lookup(kAsid, Va(1), /*for_write=*/false).has_value());
+  auto other = cache_.Lookup(kAsid + 1, Va(0), /*for_write=*/true);
+  ASSERT_TRUE(other.has_value());
+  EXPECT_EQ(other->host, Host(4));
+  EXPECT_EQ(other->length, 2 * kPageSize);
+}
+
+// The DMA side pays one probe per cached extent per side. On fragmented
+// frames every extent is one page, so a warm copy pays the per-page price —
+// one probe per DMA page per side; on sequential frames the same copy pays
+// one probe per side.
+TEST(ATCacheTest, DmaTranslationChargeIsPerExtent) {
+  const size_t n = 64 * kKiB;
+  const auto warm_charge = [n](simos::PhysicalMemory::AllocPolicy policy, uint64_t* dma_bytes) {
+    core::CopierConfig config;
+    config.enable_remap_tier = false;  // measure moved bytes
+    CopierStack stack(config, policy);
+    const uint64_t src = stack.Map(n);
+    const uint64_t dst = stack.Map(n);
+    FillPattern(stack.proc->mem(), src, n, 5);
+    stack.lib->amemcpy(dst, src, n);  // warm-up: populate the ATCache
+    EXPECT_TRUE(stack.lib->csync(dst, n).ok());
+    const core::Engine::Stats before = stack.service->TotalStats();
+    stack.lib->amemcpy(dst, src, n);
+    EXPECT_TRUE(stack.lib->csync(dst, n).ok());
+    ExpectSameBytes(stack.proc->mem(), src, dst, n);
+    const core::Engine::Stats after = stack.service->TotalStats();
+    *dma_bytes = after.dma_bytes_submitted - before.dma_bytes_submitted;
+    return after.translate_cycles - before.translate_cycles;
+  };
+  const hw::TimingModel& t = hw::TimingModel::Default();
+  uint64_t dma_bytes = 0;
+  const uint64_t fragmented =
+      warm_charge(simos::PhysicalMemory::AllocPolicy::kFragmented, &dma_bytes);
+  ASSERT_GT(dma_bytes, 0u);
+  ASSERT_EQ(dma_bytes % kPageSize, 0u);
+  EXPECT_EQ(fragmented, 2 * (dma_bytes / kPageSize) * t.atcache_hit_cycles);
+  const uint64_t sequential =
+      warm_charge(simos::PhysicalMemory::AllocPolicy::kSequential, &dma_bytes);
+  ASSERT_GT(dma_bytes, kPageSize);
+  EXPECT_EQ(sequential, 2 * t.atcache_hit_cycles);
+}
+
 TEST(Scheduler, CopyLengthFairnessAcrossClients) {
   // Two clients, equal shares: served bytes should balance even though one
   // submits much larger tasks.

@@ -638,8 +638,9 @@ TEST(IpcFuse, DefaultTimingCopiesCongruentFusedSendInsteadOfAliasing) {
 }
 
 // Window registration (DESIGN.md §12) walks only pages some engine lacks as a
-// write-capable ATCache entry. A re-post of a warm window costs one probe per
-// page, and the probes are not counted as cache hits.
+// write-capable ATCache extent. A re-post of a warm window costs one probe
+// per extent every engine holds — one for this host-contiguous window — and
+// the probes are not counted as cache hits.
 TEST(IpcFuse, RepostedWarmWindowChargesProbesOnly) {
   core::CopierConfig config;
   config.engine_count = 2;
@@ -667,13 +668,20 @@ TEST(IpcFuse, RepostedWarmWindowChargesProbesOnly) {
 
   EXPECT_EQ(register_cost(), pages * t.va_translate_cycles_per_page);
   const uint64_t lookups_before = lookups();
-  EXPECT_EQ(register_cost(), pages * t.atcache_hit_cycles);
+  EXPECT_EQ(register_cost(), t.atcache_hit_cycles);
   EXPECT_EQ(lookups(), lookups_before) << "registration probes must not count as lookups";
 
-  // One engine losing one page's entry makes that page cold again.
+  // One engine losing one page makes that page cold again; the walk merges it
+  // back, so the next re-post is one probe again.
   stack.service->engine(1).atcache().Invalidate(peer->mem().asid(), *win_or, kPageSize);
-  EXPECT_EQ(register_cost(),
-            t.va_translate_cycles_per_page + (pages - 1) * t.atcache_hit_cycles);
+  EXPECT_EQ(register_cost(), t.va_translate_cycles_per_page + t.atcache_hit_cycles);
+  EXPECT_EQ(register_cost(), t.atcache_hit_cycles);
+
+  // A lost middle page splits that engine's extent: probe, walk, probe.
+  stack.service->engine(1).atcache().Invalidate(peer->mem().asid(),
+                                                *win_or + (pages / 2) * kPageSize, kPageSize);
+  EXPECT_EQ(register_cost(), t.va_translate_cycles_per_page + 2 * t.atcache_hit_cycles);
+  EXPECT_EQ(register_cost(), t.atcache_hit_cycles);
 }
 
 // A mapping change invalidates registered translations: after munmap and a
@@ -717,11 +725,12 @@ TEST(IpcFuse, RegistrationRewalksAfterMappingChanges) {
   const Cycles warm_post = post_and_send(*win_or, 82);
   const hw::TimingModel& t = stack.service->timing();
   EXPECT_EQ(cold_post - warm_post,
-            (n / kPageSize) * (t.va_translate_cycles_per_page - t.atcache_hit_cycles));
+            (n / kPageSize) * t.va_translate_cycles_per_page - t.atcache_hit_cycles)
+      << "a warm host-contiguous window costs one probe";
 
   ASSERT_TRUE(peer->mem().Unmap(*win_or, n).ok());
   for (uint64_t page = *win_or; page < *win_or + n; page += kPageSize) {
-    ASSERT_FALSE(cache.HasWritable(asid, page)) << "munmap left a registered page";
+    ASSERT_EQ(cache.WritableBytes(asid, page), 0u) << "munmap left a registered page";
   }
   auto remapped_or = peer->mem().MapAnonymous(n, "win2", true);
   ASSERT_TRUE(remapped_or.ok());
@@ -732,10 +741,77 @@ TEST(IpcFuse, RegistrationRewalksAfterMappingChanges) {
   const std::vector<uint8_t> before_fork = ReadAll(peer->mem(), *remapped_or, n);
   auto child_or = stack.kernel->Fork(*peer, nullptr);
   ASSERT_TRUE(child_or.ok());
-  ASSERT_FALSE(cache.HasWritable(asid, *remapped_or)) << "fork must drop the registration";
+  ASSERT_EQ(cache.WritableBytes(asid, *remapped_or), 0u) << "fork must drop the registration";
   post_and_send(*remapped_or, 84);
   EXPECT_EQ(ReadAll((*child_or)->mem(), *remapped_or, n), before_fork)
       << "the fused send leaked into the child's CoW frames";
+}
+
+// A CoW break in the middle of a registered window moves that page to a new
+// frame. Only that page's translation is dropped — the window's extent
+// splits around it — so the next post walks just that page, the fused send
+// lands in the new frame, and the frame the page used to share is unchanged.
+TEST(IpcFuse, CowBreakInsideRegisteredWindowSplitsItsExtent) {
+  CopierStack stack;
+  simos::Process* peer = stack.kernel->CreateProcess("peer");
+  simos::Process* other = stack.kernel->CreateProcess("other");
+  stack.service->AttachProcess(peer);
+  auto [tx, rx] = stack.kernel->CreateSocketPair();
+  const size_t n = 64 * kKiB;
+  const uint64_t src = stack.Map(n, "src");
+  core::ATCache& cache = stack.service->engine().atcache();
+  const uint32_t asid = peer->mem().asid();
+  auto win_or = peer->mem().MapAnonymous(n, "win", true);
+  ASSERT_TRUE(win_or.ok());
+  const uint64_t win = *win_or;
+  const uint64_t mid = win + n / 2;
+  Cycles last_post = 0;
+
+  const auto post_and_send = [&](uint64_t seed) {
+    FillPattern(stack.proc->mem(), src, n, seed);
+    ExecContext post_ctx;
+    EXPECT_TRUE(stack.kernel->PostRecv(*peer, rx, win, n, &post_ctx, {}).ok());
+    size_t sent_total = 0;
+    while (sent_total < n) {
+      auto sent = stack.kernel->Send(*stack.proc, tx, src + sent_total, n - sent_total,
+                                     nullptr);
+      ASSERT_TRUE(sent.ok()) << sent.status().ToString();
+      sent_total += *sent;
+      stack.service->DrainAll();
+    }
+    ASSERT_TRUE(stack.kernel->CompleteRecv(*peer, rx, nullptr).ok());
+    EXPECT_EQ(ReadAll(peer->mem(), win, n), ReadAll(stack.proc->mem(), src, n));
+    last_post = post_ctx.now();
+  };
+  post_and_send(90);
+  post_and_send(91);
+  const Cycles warm_post = last_post;
+  ASSERT_EQ(cache.WritableBytes(asid, win), n) << "the window registers as one extent";
+
+  // Share the middle page CoW with another process, then break the share
+  // from the window's side: the window's page moves to a fresh frame.
+  auto snap_or = other->mem().MapAnonymous(kPageSize, "snap", true);
+  ASSERT_TRUE(snap_or.ok());
+  ASSERT_TRUE(other->mem().AliasCowRangeFrom(peer->mem(), *snap_or, mid, kPageSize, nullptr).ok());
+  auto old_pfn = other->mem().TranslateRead(*snap_or, nullptr);
+  ASSERT_TRUE(old_pfn.ok());
+  auto new_pfn = peer->mem().TranslateWrite(mid, nullptr);
+  ASSERT_TRUE(new_pfn.ok());
+  ASSERT_NE(*new_pfn, *old_pfn) << "the write must break the CoW share";
+  const std::vector<uint8_t> shared = ReadAll(other->mem(), *snap_or, kPageSize);
+  EXPECT_EQ(cache.WritableBytes(asid, win), n / 2);
+  EXPECT_EQ(cache.WritableBytes(asid, mid), 0u);
+  EXPECT_EQ(cache.WritableBytes(asid, mid + kPageSize), n / 2 - kPageSize);
+
+  post_and_send(92);
+  const hw::TimingModel& t = stack.service->timing();
+  EXPECT_EQ(last_post - warm_post, t.va_translate_cycles_per_page + t.atcache_hit_cycles)
+      << "one probe became probe, walk the broken page, probe";
+  EXPECT_EQ(ReadAll(other->mem(), *snap_or, kPageSize), shared)
+      << "the fused send wrote through the stale translation into the shared frame";
+  auto landed = peer->mem().TranslateRead(mid, nullptr);
+  ASSERT_TRUE(landed.ok());
+  EXPECT_EQ(*landed, *new_pfn);
 }
 
 // The round planner is the executor's own cost function: for every round
