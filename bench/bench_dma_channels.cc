@@ -41,6 +41,7 @@ struct ChannelResult {
   uint64_t dma_bytes = 0;
   uint64_t avx_bytes = 0;
   uint64_t translate_cycles = 0;  // VA->PA charge of the DMA side
+  uint64_t kfunc_cycles = 0;      // KFUNC dispatch charged to the engine
   uint64_t atcache_hits = 0;      // ATCache extent probes
   uint64_t atcache_misses = 0;
   uint64_t checksum = 0;
@@ -95,6 +96,7 @@ ChannelResult RunChannels(const hw::TimingModel& t, size_t channels, bool async)
   result.dma_bytes = after.dma_bytes_completed - before.dma_bytes_completed;
   result.avx_bytes = after.avx_bytes - before.avx_bytes;
   result.translate_cycles = after.translate_cycles - before.translate_cycles;
+  result.kfunc_cycles = after.kfunc_cycles - before.kfunc_cycles;
   result.atcache_hits = cache.hits() - hits_before;
   result.atcache_misses = cache.misses() - misses_before;
 
@@ -126,7 +128,8 @@ int Run(int argc, char** argv) {
   const ChannelResult& base = sweep.front();  // 1 async channel
 
   TextTable table({"config", "GiB/s", "vs 1ch", "stall cyc", "drain cyc", "parked",
-                   "fallbacks", "DMA share", "xlate cyc", "ATC hit/miss", "identical"});
+                   "fallbacks", "DMA share", "xlate cyc", "kfunc cyc", "ATC hit/miss",
+                   "identical"});
   auto add_row = [&](const ChannelResult& r, const char* label) {
     const double gibps = GiBps(r.bytes, r.cycles);
     table.AddRow({label, TextTable::Num(gibps),
@@ -135,7 +138,7 @@ int Run(int argc, char** argv) {
                   TextTable::Num(r.parked_rounds, 0),
                   TextTable::Num(r.ring_full_fallbacks, 0),
                   TextTable::Num(100.0 * r.dma_bytes / (r.dma_bytes + r.avx_bytes), 0) + "%",
-                  TextTable::Num(r.translate_cycles, 0),
+                  TextTable::Num(r.translate_cycles, 0), TextTable::Num(r.kfunc_cycles, 0),
                   std::to_string(r.atcache_hits) + "/" + std::to_string(r.atcache_misses),
                   r.checksum == blocking.checksum ? "yes" : "NO"});
     if (r.checksum != blocking.checksum) {
@@ -165,6 +168,7 @@ int Run(int argc, char** argv) {
           << ", \"ring_full_fallbacks\": " << r.ring_full_fallbacks
           << ", \"dma_bytes\": " << r.dma_bytes << ", \"avx_bytes\": " << r.avx_bytes
           << ", \"translate_cycles\": " << r.translate_cycles
+          << ", \"kfunc_cycles\": " << r.kfunc_cycles
           << ", \"atcache_hits\": " << r.atcache_hits
           << ", \"atcache_misses\": " << r.atcache_misses
           << ", \"speedup_vs_1ch_async\": "

@@ -68,6 +68,7 @@ struct RunResult {
   uint64_t moved = 0;         // avx_bytes + dma_bytes_completed
   uint64_t fused_bytes = 0;   // Engine::Stats::fused_ipc_bytes
   uint64_t translate_cycles = 0;  // VA->PA charge of the DMA side
+  uint64_t kfunc_cycles = 0;      // KFUNC dispatch charged to the engines
   uint64_t atcache_hits = 0;      // ATCache extent probes, all engines
   uint64_t atcache_misses = 0;
   core::CopierService::IpcFuseStats fuse;  // full fallback ladder
@@ -79,6 +80,7 @@ void FillStats(RunResult* r, BenchStack& stack) {
   r->moved = stats.avx_bytes + stats.dma_bytes_completed;
   r->fused_bytes = stats.fused_ipc_bytes;
   r->translate_cycles = stats.translate_cycles;
+  r->kfunc_cycles = stats.kfunc_cycles;
   for (size_t i = 0; i < stack.service->engine_count(); ++i) {
     r->atcache_hits += stack.service->engine(i).atcache().hits();
     r->atcache_misses += stack.service->engine(i).atcache().misses();
@@ -456,7 +458,8 @@ void Run(const hw::TimingModel& t, bool json) {
   }
 
   TextTable table({"scenario", "size KiB", "two-step", "fused", "speedup", "fused rate",
-                   "moved(2step)", "moved(fused)", "xlate cyc(fused)", "ATC hit/miss(fused)",
+                   "moved(2step)", "moved(fused)", "xlate cyc(fused)", "kfunc cyc(fused)",
+                   "ATC hit/miss(fused)",
                    "ok"});
   bool all_ok = true;
   for (const Row& row : rows) {
@@ -478,7 +481,7 @@ void Run(const hw::TimingModel& t, bool json) {
                   TextTable::Num(row.on.us), TextTable::Num(row.speedup(), 2) + "x",
                   TextTable::Num(row.on.fuse.fused_rate(), 2),
                   std::to_string(row.off.moved), std::to_string(row.on.moved),
-                  std::to_string(row.on.translate_cycles),
+                  std::to_string(row.on.translate_cycles), std::to_string(row.on.kfunc_cycles),
                   std::to_string(row.on.atcache_hits) + "/" + std::to_string(row.on.atcache_misses),
                   ok ? "yes" : " NO "});
   }
@@ -495,6 +498,7 @@ void Run(const hw::TimingModel& t, bool json) {
           << ", \"moved_two_step\": " << row.off.moved << ", \"moved_fused\": " << row.on.moved
           << ", \"fused_ipc_bytes\": " << row.on.fused_bytes
           << ", \"translate_cycles_fused\": " << row.on.translate_cycles
+          << ", \"kfunc_cycles_fused\": " << row.on.kfunc_cycles
           << ", \"atcache_hits_fused\": " << row.on.atcache_hits
           << ", \"atcache_misses_fused\": " << row.on.atcache_misses
           << ", \"fused_rate\": " << row.on.fuse.fused_rate()

@@ -101,6 +101,9 @@ struct PendingTask {
   std::vector<size_t> sg_remaining;
   std::vector<bool> sg_fired;
   size_t sg_next_fire = 0;
+  // Task-local end offsets of the segments that carry a KFUNC (ascending):
+  // what the round planner prices their dispatch by (Subtask::kfunc_ends).
+  std::vector<size_t> sg_kfunc_ends;
 
   // Task-local [start, end) byte ranges currently in flight on a DMA channel
   // (DESIGN.md §9): submitted but not yet reaped. Parked bytes are excluded

@@ -202,6 +202,7 @@ Engine::Stats Engine::stats() const {
   s.dma_rounds_parked = stats_.dma_rounds_parked;
   s.translate_cycles = stats_.translate_cycles;
   s.kfuncs_run = stats_.kfuncs_run;
+  s.kfunc_cycles = stats_.kfunc_cycles;
   s.ufuncs_queued = stats_.ufuncs_queued;
   s.lazy_absorbed_bytes = stats_.lazy_absorbed_bytes;
   s.remap_tasks = stats_.remap_tasks;
@@ -302,6 +303,13 @@ void Engine::AcceptTask(Client& client, QueuePair& pair, CopyTask task, bool ker
       pending->sg_remaining[i] = segs[i].length;
     }
     pending->sg_fired.assign(segs.size(), false);
+    size_t end = 0;
+    for (const SgSegment& seg : segs) {
+      end += seg.length;
+      if (seg.on_complete != nullptr) {
+        pending->sg_kfunc_ends.push_back(end);
+      }
+    }
     if (pending->task.sg->bookkeeping) {
       ++stats_.fused_ipc_tasks;
     }
@@ -975,6 +983,11 @@ Status Engine::BuildSubtasks(Client& client, PendingTask& task, size_t offset,
                             RefsOverlap(task.task.dst, task.task.length, task.task.src,
                                         task.task.length);
   const bool dma_ok = config_.use_dma && !self_overlap;
+  // While an earlier task has bytes parked on a DMA channel, this task's
+  // segment KFUNCs wait for that task's reap (CreditSgSegments).
+  const bool kfuncs_deferred = !task.sg_kfunc_ends.empty() && HasEarlierParked(client, task.order);
+  const std::vector<size_t>& ends = task.sg_kfunc_ends;
+  auto next_end = std::upper_bound(ends.begin(), ends.end(), offset);  // subtasks ascend
   // Host start of the current chain of continuing subtasks (both sides).
   const uint8_t* chain_dst = nullptr;
   const uint8_t* chain_src = nullptr;
@@ -1026,6 +1039,12 @@ Status Engine::BuildSubtasks(Client& client, PendingTask& task, size_t offset,
         }
         st.dst_xlate = TranslationOf(dst_lookups, at, st.length);
         st.src_xlate = TranslationOf(src_lookups, at, st.length);
+        const auto first_end = next_end;
+        while (next_end != ends.end() && *next_end <= st.task_offset + st.length) {
+          ++next_end;
+        }
+        st.kfunc_ends = {first_end, next_end};
+        st.kfuncs_deferred = kfuncs_deferred;
         if (kTrace) {
           std::fprintf(stderr, "[st] task=%llu off=%zu len=%zu dst=%p src=%p\n",
                        (unsigned long long)task.task.id, st.task_offset, st.length,
@@ -1055,7 +1074,8 @@ void Engine::ExecuteRound(Client& client, std::vector<Subtask>& subtasks) {
     subtasks[idx].on_dma = true;
   }
 
-  // Submit the DMA side: the plan's descriptor batch on each channel.
+  // Submit the DMA side: the plan's descriptor batches, one doorbell each, in
+  // submission order (a wave's batches land before the next wave's).
   struct SubmittedBatch {
     Cycles completion = 0;
     uint64_t bytes = 0;
@@ -1067,14 +1087,10 @@ void Engine::ExecuteRound(Client& client, std::vector<Subtask>& subtasks) {
     ChargeCtx(ctx_, plan.translate_cycles);
     stats_.translate_cycles += plan.translate_cycles;
     std::vector<hw::DmaDescriptor> descs;
-    for (size_t c = 0; c < nch; ++c) {
-      const std::vector<RoundChunk>& chunks = plan.channel_chunks[c];
-      if (chunks.empty()) {
-        continue;
-      }
+    for (const RoundBatch& batch : plan.batches) {
       descs.clear();
       uint64_t bytes = 0;
-      for (const RoundChunk& ch : chunks) {
+      for (const RoundChunk& ch : batch.chunks) {
         const Subtask& st = subtasks[ch.subtask];
         if (ch.joins) {
           descs.back().length += ch.length;
@@ -1084,9 +1100,9 @@ void Engine::ExecuteRound(Client& client, std::vector<Subtask>& subtasks) {
         bytes += ch.length;
       }
       ChargeCtx(ctx_, dma_.SubmissionCost(descs.size()));
-      auto sub_or = dma_.SubmitOn(c, descs, CtxNow(ctx_));
+      auto sub_or = dma_.SubmitOn(batch.channel, descs, CtxNow(ctx_));
       if (!sub_or.ok()) {
-        // Ring full on this channel: its chunks fall back to the CPU (the
+        // Ring full on this channel: the batch falls back to the CPU (the
         // failed attempt stays charged — the descriptors were written before
         // the doorbell bounced). Whole subtasks rejoin the AVX loop; partial
         // chunks of a split subtask run separately below.
@@ -1094,7 +1110,7 @@ void Engine::ExecuteRound(Client& client, std::vector<Subtask>& subtasks) {
         if (overload_ != nullptr) {
           ++overload_->ring_full_events;
         }
-        for (const RoundChunk& ch : chunks) {
+        for (const RoundChunk& ch : batch.chunks) {
           if (ch.offset == 0 && ch.length == subtasks[ch.subtask].length) {
             subtasks[ch.subtask].on_dma = false;
           } else {
@@ -1103,7 +1119,7 @@ void Engine::ExecuteRound(Client& client, std::vector<Subtask>& subtasks) {
         }
         continue;
       }
-      submitted.push_back({sub_or->completion_time, bytes, &chunks});
+      submitted.push_back({sub_or->completion_time, bytes, &batch.chunks});
       stats_.dma_bytes_submitted += bytes;
       ++stats_.dma_batches_submitted;
     }
@@ -2032,12 +2048,18 @@ void Engine::FireReadySgSegments(Client& client, PendingTask& task, Cycles when)
     if (segs[i].on_complete != nullptr) {
       // The per-segment KFUNC is the per-skb completion handler of the
       // per-op path: same dispatch charge, same kfuncs_run accounting.
-      ChargeCtx(ctx_, timing_->handler_dispatch_cycles);
-      segs[i].on_complete(when);
-      ++stats_.kfuncs_run;
-      NoteKfuncTime(when);
+      RunKfunc(segs[i].on_complete, when);
     }
   }
+}
+
+void Engine::RunKfunc(const std::function<void(Cycles)>& fn, std::optional<Cycles> when) {
+  ChargeCtx(ctx_, timing_->handler_dispatch_cycles);
+  stats_.kfunc_cycles += timing_->handler_dispatch_cycles;
+  const Cycles at = when.value_or(CtxNow(ctx_));
+  fn(at);
+  ++stats_.kfuncs_run;
+  NoteKfuncTime(at);
 }
 
 void Engine::FireRemainingSgSegments(Client& client, PendingTask& task, Cycles when) {
@@ -2053,10 +2075,7 @@ void Engine::FireRemainingSgSegments(Client& client, PendingTask& task, Cycles w
     task.sg_fired[i] = true;
     task.sg_remaining[i] = 0;
     if (segs[i].on_complete != nullptr) {
-      ChargeCtx(ctx_, timing_->handler_dispatch_cycles);
-      segs[i].on_complete(when);
-      ++stats_.kfuncs_run;
-      NoteKfuncTime(when);
+      RunKfunc(segs[i].on_complete, when);
     }
   }
   task.sg_next_fire = segs.size();
@@ -2103,10 +2122,7 @@ void Engine::CompleteTask(Client& client, PendingTask& task, bool fifo_ordered) 
     case PostHandler::Kind::kNone:
       break;
     case PostHandler::Kind::kKernelFunc:
-      ChargeCtx(ctx_, timing_->handler_dispatch_cycles);
-      handler.fn(CtxNow(ctx_));
-      ++stats_.kfuncs_run;
-      NoteKfuncTime(CtxNow(ctx_));
+      RunKfunc(handler.fn, std::nullopt);
       break;
     case PostHandler::Kind::kUserFunc: {
       QueuePair* pair = task.origin != nullptr ? task.origin : &client.default_pair();

@@ -27,7 +27,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "src/common/exec_context.h"
@@ -145,6 +147,8 @@ class Engine {
     // probes and page walks, RoundPlan::translate_cycles).
     uint64_t translate_cycles = 0;
     uint64_t kfuncs_run = 0;
+    // Engine cycles spent dispatching them (handler_dispatch_cycles each).
+    uint64_t kfunc_cycles = 0;
     uint64_t ufuncs_queued = 0;
     uint64_t lazy_absorbed_bytes = 0;
     // Zero-copy remap tier (DESIGN.md §11). remapped_bytes count toward
@@ -451,6 +455,7 @@ class Engine {
     RelaxedCounter dma_rounds_parked;
     RelaxedCounter translate_cycles;
     RelaxedCounter kfuncs_run;
+    RelaxedCounter kfunc_cycles;
     RelaxedCounter ufuncs_queued;
     RelaxedCounter lazy_absorbed_bytes;
     RelaxedCounter remap_tasks;
@@ -473,6 +478,9 @@ class Engine {
     std::atomic<uint64_t> last_kfunc_cycles{0};
   };
 
+  // Fires one KFUNC: charges its dispatch, runs it at `when` (the engine
+  // clock after the charge when unset), counts it.
+  void RunKfunc(const std::function<void(Cycles)>& fn, std::optional<Cycles> when);
   void NoteKfuncTime(Cycles when) {
     if (when > stats_.last_kfunc_cycles.load(std::memory_order_relaxed)) {
       stats_.last_kfunc_cycles.store(when, std::memory_order_relaxed);

@@ -801,6 +801,7 @@ Engine::Stats CopierService::TotalStats() const {
     total.dma_rounds_parked += s.dma_rounds_parked;
     total.translate_cycles += s.translate_cycles;
     total.kfuncs_run += s.kfuncs_run;
+    total.kfunc_cycles += s.kfunc_cycles;
     total.ufuncs_queued += s.ufuncs_queued;
     total.lazy_absorbed_bytes += s.lazy_absorbed_bytes;
     total.remap_tasks += s.remap_tasks;

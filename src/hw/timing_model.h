@@ -105,10 +105,6 @@ struct TimingModel {
   // Dispatcher policy constants (§4.3).
   size_t dma_min_subtask_bytes = 2048;   // below this, DMA submission loses
   size_t ipiggyback_min_task_bytes = 12 * 1024;  // i-piggyback threshold
-  // Piggyback greedy slack: a subtask moves to DMA while the (aggregate,
-  // multi-channel) DMA makespan stays within this percentage over the
-  // remaining AVX time — a short confirmed wait beats an idle second unit.
-  size_t piggyback_greedy_tolerance_pct = 15;
 
   // Cost of one CPU-driven copy of `size` bytes on the given unit.
   Cycles CpuCopyCycles(CopyUnitKind kind, size_t size) const;

@@ -98,10 +98,19 @@ TEST(Dispatch, LargeTaskUsesBothUnits) {
   const size_t n = 256 * kKiB;
   const uint64_t src = stack.Map(n);
   const uint64_t dst = stack.Map(n);
+  // A warming copy first: translation is priced in the split, and a cold
+  // page owes DMA two walks, more than copying it on the CPU.
+  FillPattern(stack.proc->mem(), src, n, 4);
+  stack.lib->amemcpy(dst, src, n);
+  ASSERT_TRUE(stack.lib->csync(dst, n).ok());
+  const core::Engine::Stats warm = stack.service->TotalStats();
   FillPattern(stack.proc->mem(), src, n, 5);
   stack.lib->amemcpy(dst, src, n);
   ASSERT_TRUE(stack.lib->csync(dst, n).ok());
-  const core::Engine::Stats stats = stack.service->TotalStats();
+  core::Engine::Stats stats = stack.service->TotalStats();
+  stats.dma_bytes_completed -= warm.dma_bytes_completed;
+  stats.dma_bytes_submitted -= warm.dma_bytes_submitted;
+  stats.avx_bytes -= warm.avx_bytes;
   EXPECT_GT(stats.dma_bytes_completed, 0u) << "i-piggyback should offload part to DMA";
   EXPECT_GT(stats.avx_bytes, 0u);
   EXPECT_EQ(stats.dma_bytes_completed + stats.avx_bytes, n);
@@ -119,6 +128,14 @@ TEST(Dispatch, EPiggybackFusesSmallAdjacentTasks) {
     const uint64_t dst = stack.Map(n);
     FillPattern(stack.proc->mem(), src, n, 60 + i);
     copies.emplace_back(src, dst);
+  }
+  // A warming pass first (cold pages keep a one-shot round on the CPU).
+  for (const auto& [src, dst] : copies) {
+    stack.lib->amemcpy(dst, src, n);
+  }
+  stack.service->DrainAll();
+  for (size_t i = 0; i < copies.size(); ++i) {
+    FillPattern(stack.proc->mem(), copies[i].first, n, 70 + i);
   }
   for (const auto& [src, dst] : copies) {
     stack.lib->amemcpy(dst, src, n);

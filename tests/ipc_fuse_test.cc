@@ -18,15 +18,22 @@
 namespace copier::core {
 
 // Runs every task a client has queued as ONE execution round, exactly as
-// CopyRange hands a round to the executor, and reports the planner's price
-// next to what the executor did.
+// CopyRange hands a round to the executor, reaps its parked batches as an
+// otherwise idle engine does, and reports the planner's price next to what
+// the executor did.
 class EngineRoundProbe {
  public:
+  struct Landing {
+    size_t task_offset = 0;  // the batch's first byte
+    Cycles completion = 0;
+  };
   struct Result {
     RoundPlan plan;
     Cycles start = 0;        // engine clock when the round began
     Cycles last_landed = 0;  // when the round's last byte landed
+    Cycles engine_free = 0;  // when the last reap (and its KFUNCs) finished
     uint64_t parked_bytes = 0;
+    std::vector<Landing> landings;  // parked batches, in submission order
   };
 
   static Result RunQueuedAsOneRound(Engine& engine, Client& client) {
@@ -47,7 +54,18 @@ class EngineRoundProbe {
     for (const Client::ParkedDma& batch : client.parked_dma) {
       r.last_landed = std::max(r.last_landed, batch.completion_time);
       r.parked_bytes += batch.bytes;
+      r.landings.push_back({batch.segs.front().offset, batch.completion_time});
     }
+    // Reap each batch once it has landed, waiting when nothing has.
+    while (!client.parked_dma.empty()) {
+      Cycles earliest = client.parked_dma.front().completion_time;
+      for (const Client::ParkedDma& batch : client.parked_dma) {
+        earliest = std::min(earliest, batch.completion_time);
+      }
+      engine.ctx()->WaitUntil(earliest);
+      engine.ReapParkedDma(client, engine.ctx()->now());
+    }
+    r.engine_free = engine.ctx()->now();
     for (const auto& task : client.pending) {
       if (task->bytes_done >= task->task.length) {
         engine.CompleteTask(client, *task, /*fifo_ordered=*/true);
@@ -817,9 +835,14 @@ TEST(IpcFuse, CowBreakInsideRegisteredWindowSplitsItsExtent) {
 // The round planner is the executor's own cost function: for every round
 // shape its makespan is exactly the virtual time from round start until the
 // round's last byte lands — CPU copies or parked DMA batches, whichever is
-// later — and the bytes it sends to DMA are exactly the bytes parked. On
-// host-contiguous memory a large task's DMA share coalesces into one
-// descriptor per used channel; on fragmented frames nothing merges.
+// later — its engine_free is exactly when an idle engine has reaped every
+// batch and fired the KFUNCs they complete, and the bytes it sends to DMA
+// are exactly the bytes parked. Each copy runs once first: translation is
+// priced in the split, and a cold page owes DMA two walks, more than copying
+// it, so a cold one-shot round stays on the CPU; the warming copy leaves the
+// ATCache warm. On host-contiguous memory a large task's DMA share coalesces
+// into one descriptor per channel per wave; on fragmented frames nothing
+// merges.
 TEST(RoundPlanParity, MakespanIsWhenTheRoundsLastByteLands) {
   const size_t small = hw::TimingModel::Default().dma_min_subtask_bytes / 2;
   std::vector<size_t> mixed;
@@ -855,26 +878,35 @@ TEST(RoundPlanParity, MakespanIsWhenTheRoundsLastByteLands) {
                                     << (fragmented ? ", fragmented" : ""));
     core::CopierConfig config;  // defaults: 4 channels, parked DMA completion
     ASSERT_TRUE(config.enable_async_dma_completion);
+    // The warming copy must copy: an alias would leave the next write to
+    // break CoW into fresh, uncached (and scattered) frames.
+    config.enable_remap_tier = false;
     CopierStack stack(config, shape.policy);
     const uint64_t src = stack.Map(total, "src");
     const uint64_t dst = stack.Map(total, "dst");
+    const auto queue_copies = [&] {
+      size_t off = 0;
+      for (size_t len : tasks) {
+        stack.lib->amemcpy(dst + off, src + off, len);
+        off += len;
+      }
+    };
+    FillPattern(stack.proc->mem(), src, total, total + 1);
+    queue_copies();  // warming copy
+    stack.service->DrainAll();
+    ASSERT_TRUE(stack.lib->csync_all().ok());
     FillPattern(stack.proc->mem(), src, total, total);
-    size_t off = 0;
-    for (size_t len : tasks) {
-      stack.lib->amemcpy(dst + off, src + off, len);
-      off += len;
-    }
+    queue_copies();
 
     const core::EngineRoundProbe::Result r =
         core::EngineRoundProbe::RunQueuedAsOneRound(stack.service->engine(), *stack.client);
     EXPECT_EQ(r.last_landed - r.start, r.plan.makespan);
+    EXPECT_EQ(r.engine_free - r.start, r.plan.engine_free);
     uint64_t planned_dma = 0;
     size_t chunks = 0;
     size_t descriptors = 0;
-    size_t busy_channels = 0;
-    for (const auto& channel : r.plan.channel_chunks) {
-      busy_channels += channel.empty() ? 0 : 1;
-      for (const core::RoundChunk& ch : channel) {
+    for (const core::RoundBatch& batch : r.plan.batches) {
+      for (const core::RoundChunk& ch : batch.chunks) {
         planned_dma += ch.length;
         ++chunks;
         descriptors += ch.joins ? 0 : 1;
@@ -885,9 +917,9 @@ TEST(RoundPlanParity, MakespanIsWhenTheRoundsLastByteLands) {
         std::any_of(tasks.begin(), tasks.end(), [small](size_t len) { return len > small; });
     EXPECT_EQ(planned_dma > 0, any_eligible);
     if (shape.merges == Merges::kOnePerChannel) {
-      EXPECT_EQ(busy_channels, config.dma_channel_count);
-      EXPECT_EQ(descriptors, busy_channels);
-      EXPECT_GT(chunks, busy_channels) << "the shape must exercise merging";
+      EXPECT_EQ(r.plan.batches.size(), r.plan.waves * config.dma_channel_count);
+      EXPECT_EQ(descriptors, r.plan.batches.size()) << "one descriptor per channel per wave";
+      EXPECT_GT(chunks, r.plan.batches.size()) << "the shape must exercise merging";
     } else if (shape.merges == Merges::kNone) {
       EXPECT_GT(chunks, 0u);
       EXPECT_EQ(descriptors, chunks);
@@ -897,6 +929,51 @@ TEST(RoundPlanParity, MakespanIsWhenTheRoundsLastByteLands) {
     ASSERT_TRUE(stack.lib->csync_all().ok());
     ExpectSameBytes(stack.proc->mem(), src, dst, total);
   }
+
+  // A fused socket send (bookkeeping SgList: one reclaim KFUNC per MTU
+  // chunk) of 2 MiB into a warm posted window. The KFUNCs of DMA-landed
+  // chunks fire at the reap, so the plan cuts the host-contiguous tail into
+  // waves that land in address order, one descriptor per channel per wave.
+  CopierStack stack;
+  simos::Process* peer = stack.kernel->CreateProcess("peer");
+  stack.service->AttachProcess(peer);
+  auto [tx, rx] = stack.kernel->CreateSocketPair();
+  const size_t n = 2 * kMiB;
+  const uint64_t src = stack.Map(n, "src");
+  auto win_or = peer->mem().MapAnonymous(n, "win", true);
+  ASSERT_TRUE(win_or.ok());
+  std::vector<uint32_t> probe;
+  stack.kernel->SetKfuncProbe([&](uint32_t id) { probe.push_back(id); });
+  const auto post_and_send = [&](uint64_t seed) {
+    FillPattern(stack.proc->mem(), src, n, seed);
+    EXPECT_TRUE(stack.kernel->PostRecv(*peer, rx, *win_or, n, nullptr, {}).ok());
+    auto sent = stack.kernel->Send(*stack.proc, tx, src, n, nullptr);
+    ASSERT_TRUE(sent.ok()) << sent.status().ToString();
+    ASSERT_EQ(*sent, n) << "one fused task must carry the whole message";
+  };
+  post_and_send(95);  // warming transfer
+  stack.service->DrainAll();
+  ASSERT_TRUE(stack.kernel->CompleteRecv(*peer, rx, nullptr).ok());
+  post_and_send(96);
+  probe.clear();
+  const core::EngineRoundProbe::Result r =
+      core::EngineRoundProbe::RunQueuedAsOneRound(stack.service->engine(), *stack.client);
+  EXPECT_EQ(r.last_landed - r.start, r.plan.makespan);
+  EXPECT_EQ(r.engine_free - r.start, r.plan.engine_free);
+  EXPECT_GT(r.plan.waves, 1u) << "the KFUNCs of the DMA tail should drain in waves";
+  EXPECT_EQ(r.plan.batches.size(), r.plan.waves * stack.service->config().dma_channel_count);
+  ASSERT_EQ(r.landings.size(), r.plan.batches.size());
+  for (size_t b = 1; b < r.landings.size(); ++b) {
+    EXPECT_GT(r.landings[b].task_offset, r.landings[b - 1].task_offset);
+    EXPECT_GE(r.landings[b].completion, r.landings[b - 1].completion)
+        << "batch " << b << " lands before the lower-addressed batch " << b - 1;
+  }
+  EXPECT_EQ(probe.size(), n / simos::kMtu) << "one reclaim KFUNC per MTU chunk";
+  stack.service->DrainAll();
+  auto filled = stack.kernel->CompleteRecv(*peer, rx, nullptr);
+  ASSERT_TRUE(filled.ok());
+  EXPECT_EQ(*filled, n);
+  EXPECT_EQ(ReadAll(peer->mem(), *win_or, n), ReadAll(stack.proc->mem(), src, n));
 }
 
 // Threaded service: the fused path's lock resolver yields to the copier
