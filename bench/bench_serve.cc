@@ -10,7 +10,8 @@
 // must sit strictly to the right of the kNone knee — admission control buys
 // tail latency headroom. Every run also model-checks its replies and final
 // store image; any mismatch or a failed knee gate prints " NO " and MISMATCH
-// on stderr for scripts/bench_smoke.sh.
+// on stderr for scripts/bench_smoke.sh, and a row that fails model
+// verification makes the bench exit 1.
 //
 // --quick shrinks the sweep for CI; --json writes BENCH_serve.json.
 #include "bench/bench_util.h"
@@ -101,7 +102,8 @@ double Knee(const std::vector<SweepPoint>& sweep, double unloaded_p50) {
   return 0;
 }
 
-void Run(int argc, char** argv) {
+// Returns 0 when every row verified against the model, 1 otherwise.
+int Run(int argc, char** argv) {
   const hw::TimingModel& t = SelectTiming(argc, argv);
   const bool quick = HasFlag(argc, argv, "--quick");
   const size_t requests = quick ? 384 : 1024;
@@ -298,13 +300,14 @@ void Run(int argc, char** argv) {
 
   if (!all_verified) {
     std::printf("model verification: NO \n");
+    return 1;
   }
+  return 0;
 }
 
 }  // namespace
 }  // namespace copier::bench
 
 int main(int argc, char** argv) {
-  copier::bench::Run(argc, argv);
-  return 0;
+  return copier::bench::Run(argc, argv);
 }

@@ -159,10 +159,19 @@ ServeResult RunServe(const ServeOptions& options, bool threaded) {
     }
   };
 
+  // Receives exactly `reply_len` bytes into conn.buf: a reply larger than one
+  // flow-control chunk can arrive in several pieces, each read landing after
+  // the bytes already received.
   auto recv_reply = [&](Conn& conn, size_t reply_len, ExecContext& cctx) {
-    auto reply = kernel->Recv(*conn.app->proc(), conn.sock, conn.buf, reply_len, &cctx);
+    size_t received = 0;
     uint64_t spins = 0;
-    while (!reply.ok()) {
+    while (received < reply_len) {
+      auto reply = kernel->Recv(*conn.app->proc(), conn.sock, conn.buf + received,
+                                reply_len - received, &cctx);
+      if (reply.ok()) {
+        received += *reply;
+        continue;
+      }
       if (!threaded) {
         COPIER_CHECK(kv_client != nullptr) << reply.status().ToString();
         service->Serve(*kv_client);
@@ -174,7 +183,6 @@ ServeResult RunServe(const ServeOptions& options, bool threaded) {
         }
         COPIER_CHECK(spins < (1ull << 26)) << "serve reply stuck: " << reply.status().ToString();
       }
-      reply = kernel->Recv(*conn.app->proc(), conn.sock, conn.buf, reply_len, &cctx);
     }
   };
 

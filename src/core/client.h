@@ -95,11 +95,11 @@ struct PendingTask {
   bool done_processed = false;
 
   // Scatter-gather accounting (task.sg != nullptr): bytes still outstanding
-  // and whether the per-segment KFUNC has fired, per segment. Handlers fire
-  // in segment order — the op-list is a stream (skbs of one syscall), so the
-  // firing prefix only advances when every earlier segment has landed.
+  // and task-local end offset, per segment. Handlers fire in segment order —
+  // the op-list is a stream (skbs of one syscall), so the firing prefix
+  // [0, sg_next_fire) only advances when every earlier segment has landed.
   std::vector<size_t> sg_remaining;
-  std::vector<bool> sg_fired;
+  std::vector<size_t> sg_ends;
   size_t sg_next_fire = 0;
   // Task-local end offsets of the segments that carry a KFUNC (ascending):
   // what the round planner prices their dispatch by (Subtask::kfunc_ends).

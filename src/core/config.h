@@ -61,14 +61,6 @@ struct CopierConfig {
   // Off = one window at a time (the historical single-window behaviour).
   bool enable_recv_ring = true;
 
-  // Proxy-transparent forwarding (DESIGN.md §12): a window posted with a
-  // forward rule rewrites the message header in the kernel and dispatches ONE
-  // src->destination-window Copy Task whose SgList splices the rewritten
-  // header in front of the unmodified payload — the payload never crosses the
-  // proxy's address space. Off = the message lands in the proxy's window and
-  // the app re-frames it (the historical two-hop pipeline).
-  bool enable_forward_fuse = true;
-
   // Vectored submission: Send/Recv/Binder publish one scatter-gather Copy
   // Task per syscall (one ring transaction, one barrier check, one doorbell)
   // instead of one entry per skb. Off = the per-skb submission baseline
@@ -107,9 +99,6 @@ struct CopierConfig {
   // loaded shard before sleeping. Required for full throughput when a hot
   // client hashes onto a busy shard; disable only for ablation.
   bool enable_work_stealing = true;
-  // Submission wakes only the thread owning the client's home shard instead
-  // of notify_all on every thread (the thundering herd baseline).
-  bool enable_targeted_wakeup = true;
 
   // Overload admission control (DESIGN.md §13). Request submitters consult
   // CopierService::AdmitRequest before pushing a request's copy work; the

@@ -298,14 +298,11 @@ void Engine::AcceptTask(Client& client, QueuePair& pair, CopyTask task, bool ker
   pending->progress_offset = 0;
   if (pending->task.sg != nullptr && valid.ok()) {
     const auto& segs = pending->task.sg->segs;
-    pending->sg_remaining.resize(segs.size());
-    for (size_t i = 0; i < segs.size(); ++i) {
-      pending->sg_remaining[i] = segs[i].length;
-    }
-    pending->sg_fired.assign(segs.size(), false);
     size_t end = 0;
     for (const SgSegment& seg : segs) {
       end += seg.length;
+      pending->sg_remaining.push_back(seg.length);
+      pending->sg_ends.push_back(end);
       if (seg.on_complete != nullptr) {
         pending->sg_kfunc_ends.push_back(end);
       }
@@ -983,9 +980,10 @@ Status Engine::BuildSubtasks(Client& client, PendingTask& task, size_t offset,
                             RefsOverlap(task.task.dst, task.task.length, task.task.src,
                                         task.task.length);
   const bool dma_ok = config_.use_dma && !self_overlap;
-  // While an earlier task has bytes parked on a DMA channel, this task's
-  // segment KFUNCs wait for that task's reap (CreditSgSegments).
-  const bool kfuncs_deferred = !task.sg_kfunc_ends.empty() && HasEarlierParked(client, task.order);
+  // While an earlier task has not fired its handler, this task's segment
+  // KFUNCs wait for that task's completion cascade (CreditSgSegments).
+  const bool kfuncs_deferred =
+      !task.sg_kfunc_ends.empty() && HasEarlierUnfired(client, task.order);
   const std::vector<size_t>& ends = task.sg_kfunc_ends;
   auto next_end = std::upper_bound(ends.begin(), ends.end(), offset);  // subtasks ascend
   // Host start of the current chain of continuing subtasks (both sides).
@@ -1620,7 +1618,7 @@ Status Engine::ExecuteTaskRange(Client& client, PendingTask& task, size_t offset
   COPIER_RETURN_IF_ERROR(ResolveDependencies(client, task, offset, length, depth));
   COPIER_RETURN_IF_ERROR(CopyRange(client, task, offset, length, depth));
   if (task.bytes_done >= task.task.length) {
-    CompleteTask(client, task, /*fifo_ordered=*/!must_land);
+    CompleteTask(client, task);
   }
   return OkStatus();
 }
@@ -1971,7 +1969,7 @@ uint64_t Engine::ExecutePending(Client& client, uint64_t budget) {
       }
       for (size_t i = 0; i < round.size(); ++i) {
         if (round[i]->bytes_done >= round[i]->task.length) {
-          CompleteTask(client, *round[i], /*fifo_ordered=*/true);
+          CompleteTask(client, *round[i]);
         }
         served += round[i]->bytes_done + round[i]->dma_parked_bytes() -
                   (i < before.size() ? before[i] : 0);
@@ -2004,26 +2002,26 @@ void Engine::MarkProgress(Client& client, PendingTask& task, size_t offset, size
     if (task.task.sg->bookkeeping) {
       stats_.fused_ipc_bytes += length;
     }
-    CreditSgSegments(client, task, offset, length, when);
+    CreditSgSegments(client, task, offset, length);
   }
   if (!was_done && task.Done()) {
     OnTaskDone(client, task);
   }
 }
 
-void Engine::CreditSgSegments(Client& client, PendingTask& task, size_t offset, size_t length,
-                              Cycles when) {
-  (void)client;
+void Engine::CreditSgSegments(Client& client, PendingTask& task, size_t offset, size_t length) {
+  // Only the segments the landing overlaps: the first one ending past
+  // `offset` up to the first one starting at or past its end.
   const auto& segs = task.task.sg->segs;
   const size_t end = offset + length;
-  size_t seg_start = 0;
-  for (size_t i = 0; i < segs.size() && seg_start < end; ++i) {
-    const size_t seg_end = seg_start + segs[i].length;
-    if (seg_end > offset) {
-      const size_t ovl = std::min(end, seg_end) - std::max(offset, seg_start);
-      task.sg_remaining[i] -= std::min(ovl, task.sg_remaining[i]);
+  const auto first = std::upper_bound(task.sg_ends.begin(), task.sg_ends.end(), offset);
+  for (size_t i = first - task.sg_ends.begin(); i < segs.size(); ++i) {
+    const size_t seg_start = task.sg_ends[i] - segs[i].length;
+    if (seg_start >= end) {
+      break;
     }
-    seg_start = seg_end;
+    const size_t ovl = std::min(end, task.sg_ends[i]) - std::max(offset, seg_start);
+    task.sg_remaining[i] -= std::min(ovl, task.sg_remaining[i]);
   }
   // Fire the longest fully-credited prefix, IN SEGMENT ORDER. Progress can
   // land out of order within a round (DMA takes the tail while the CPU
@@ -2031,76 +2029,60 @@ void Engine::CreditSgSegments(Client& client, PendingTask& task, size_t offset, 
   // (skb delivery on the send path) must not run before segment k-1's, or
   // the receiver reassembles the bytes in the wrong order — exactly the
   // per-op path's task-order firing. The same stream can also span several
-  // tasks: while an earlier-ordered task still has bytes in flight, defer
-  // the firing too — FireOrderedCompletions replays it at the reap.
-  if (HasEarlierParked(client, task.order)) {
-    return;
+  // tasks: while an earlier task has not fired its handler, the prefix waits
+  // for that task's completion cascade (FireDeferredSuccessors).
+  if (!HasEarlierUnfired(client, task.order)) {
+    FireReadySgSegments(task);
   }
-  FireReadySgSegments(client, task, when);
 }
 
-void Engine::FireReadySgSegments(Client& client, PendingTask& task, Cycles when) {
-  (void)client;
+void Engine::FireReadySgSegments(PendingTask& task) {
   const auto& segs = task.task.sg->segs;
   while (task.sg_next_fire < segs.size() && task.sg_remaining[task.sg_next_fire] == 0) {
     const size_t i = task.sg_next_fire++;
-    task.sg_fired[i] = true;
     if (segs[i].on_complete != nullptr) {
       // The per-segment KFUNC is the per-skb completion handler of the
       // per-op path: same dispatch charge, same kfuncs_run accounting.
-      RunKfunc(segs[i].on_complete, when);
+      RunKfunc(segs[i].on_complete);
     }
   }
 }
 
-void Engine::RunKfunc(const std::function<void(Cycles)>& fn, std::optional<Cycles> when) {
+void Engine::RunKfunc(const std::function<void(Cycles)>& fn) {
   ChargeCtx(ctx_, timing_->handler_dispatch_cycles);
   stats_.kfunc_cycles += timing_->handler_dispatch_cycles;
-  const Cycles at = when.value_or(CtxNow(ctx_));
+  const Cycles at = CtxNow(ctx_);
   fn(at);
   ++stats_.kfuncs_run;
   NoteKfuncTime(at);
 }
 
-void Engine::FireRemainingSgSegments(Client& client, PendingTask& task, Cycles when) {
-  (void)client;
+void Engine::FireRemainingSgSegments(PendingTask& task) {
   if (task.task.sg == nullptr) {
     return;
   }
   const auto& segs = task.task.sg->segs;
-  for (size_t i = 0; i < segs.size(); ++i) {
-    if (task.sg_fired[i]) {
-      continue;
-    }
-    task.sg_fired[i] = true;
-    task.sg_remaining[i] = 0;
+  while (task.sg_next_fire < segs.size()) {
+    const size_t i = task.sg_next_fire++;
     if (segs[i].on_complete != nullptr) {
-      RunKfunc(segs[i].on_complete, when);
+      RunKfunc(segs[i].on_complete);
     }
   }
-  task.sg_next_fire = segs.size();
 }
 
-void Engine::CompleteTask(Client& client, PendingTask& task, bool fifo_ordered) {
+void Engine::CompleteTask(Client& client, PendingTask& task) {
   if (task.handler_fired) {
-    return;
-  }
-  // FIFO-ordered completions must not overtake an earlier task whose bytes
-  // are still on a DMA channel: in blocking mode rounds retire in submission
-  // order, and the socket paths reassemble streams in handler order. The
-  // handler stays unfired; FireOrderedCompletions delivers it at the reap
-  // that lands the blocking task.
-  if (fifo_ordered && HasEarlierParked(client, task.order)) {
     return;
   }
   // Per-client handler order is submission order, unconditionally: if an
   // earlier task has not fired, this one stays done-but-unfired and the
-  // predecessor's completion cascades it (below). Cross-engine settles need
-  // this so KFUNC order does not depend on which engine's settle landed the
-  // task first; the remap tier (DESIGN.md §11) needs it so an aliased task —
-  // complete the instant its PTEs flip — cannot overtake a predecessor whose
-  // bytes are still moving, which would make observable completion order an
-  // artifact of the enable_remap_tier ablation.
+  // predecessor's completion cascades it (below). This one rule orders every
+  // path: a FIFO pass cannot overtake an earlier task whose bytes are still
+  // parked on a DMA channel (the socket paths reassemble streams in handler
+  // order); cross-engine settles keep KFUNC order independent of which
+  // engine's settle landed the task first; and an aliased task (DESIGN.md
+  // §11) — complete the instant its PTEs flip — cannot overtake a
+  // predecessor whose bytes are still moving.
   if (HasEarlierUnfired(client, task.order)) {
     // The blocking predecessor may itself be done (completed mid-round via
     // absorption or a remap) with nobody left to call CompleteTask on it:
@@ -2116,13 +2098,13 @@ void Engine::CompleteTask(Client& client, PendingTask& task, bool fifo_ordered) 
   // Any segment KFUNC not yet fired through progress fires now: the kernel
   // buffers behind an aborted vectored task must be reclaimed exactly as the
   // per-op path's completion handlers would have.
-  FireRemainingSgSegments(client, task, CtxNow(ctx_));
+  FireRemainingSgSegments(task);
   PostHandler& handler = task.task.handler;
   switch (handler.kind) {
     case PostHandler::Kind::kNone:
       break;
     case PostHandler::Kind::kKernelFunc:
-      RunKfunc(handler.fn, std::nullopt);
+      RunKfunc(handler.fn);
       break;
     case PostHandler::Kind::kUserFunc: {
       QueuePair* pair = task.origin != nullptr ? task.origin : &client.default_pair();
@@ -2163,13 +2145,18 @@ void Engine::FireDeferredSuccessors(Client& client) {
     if (task.handler_fired) {
       continue;
     }
-    if (task.Done()) {  // includes aborted tasks — their handlers fire too
-      CompleteTask(client, task);
-      if (task.handler_fired) {
-        continue;
+    if (!task.Done()) {
+      // The first unfired, incomplete task blocks everything behind it; the
+      // landed prefix of its own segments may fire now.
+      if (task.task.sg != nullptr) {
+        FireReadySgSegments(task);
       }
+      break;
     }
-    break;  // first unfired, incomplete task blocks everything behind it
+    CompleteTask(client, task);  // aborted tasks too — their handlers fire
+    if (!task.handler_fired) {
+      break;
+    }
   }
   t_fire_cascade = false;
 }
@@ -2425,37 +2412,8 @@ uint64_t Engine::ReapParkedDma(Client& client, Cycles now) {
   }
   // Handlers deferred behind the landed batches fire now, in task order —
   // never in batch-completion order, which multi-channel submission permutes.
-  FireOrderedCompletions(client, now);
+  FireDeferredSuccessors(client);
   return landed;
-}
-
-bool Engine::HasEarlierParked(const Client& client, uint64_t order) const {
-  for (const Client::ParkedDma& batch : client.parked_dma) {
-    for (const Client::ParkedDma::Seg& seg : batch.segs) {
-      if (seg.task->order < order) {
-        return true;
-      }
-    }
-  }
-  return false;
-}
-
-void Engine::FireOrderedCompletions(Client& client, Cycles when) {
-  for (auto& pending : client.pending) {
-    PendingTask& task = *pending;
-    if (!task.dma_parked.empty()) {
-      break;  // everything behind this task waits for its landing
-    }
-    if (task.handler_fired) {
-      continue;
-    }
-    if (task.task.sg != nullptr) {
-      FireReadySgSegments(client, task, when);
-    }
-    if (task.Done()) {
-      CompleteTask(client, task);
-    }
-  }
 }
 
 void Engine::SettleParkedRange(Client& client, PendingTask& task, size_t offset, size_t length) {

@@ -29,7 +29,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "src/common/exec_context.h"
@@ -359,30 +358,21 @@ class Engine {
   void SettleTaskParked(Client& client, PendingTask& task) {
     SettleParkedRange(client, task, 0, task.task.length);
   }
-  // True when a pending task ordered before `order` still has bytes on a DMA
-  // channel. FIFO-ordered completions (and SG segment kfuncs) defer behind
-  // such a task: blocking mode retires rounds in submission order, so a later
-  // task's handler must not overtake an earlier in-flight one — the socket
-  // paths reassemble byte streams in handler-delivery order.
-  bool HasEarlierParked(const Client& client, uint64_t order) const;
-  // Fires deferred handlers in task order once the tasks blocking them have
-  // landed: walks pending front-to-back, firing credited SG prefixes and
-  // completion handlers, stopping at the first task still in flight.
-  void FireOrderedCompletions(Client& client, Cycles when);
-
   void MarkProgress(Client& client, PendingTask& task, size_t offset, size_t length,
                     Cycles when);
-  // `fifo_ordered` marks completions reached through the plain FIFO pass:
-  // they defer while an earlier-ordered task has parked bytes (see
-  // HasEarlierParked) and fire later via FireOrderedCompletions. Promotion,
-  // dependency resolution and abort paths complete immediately, exactly as
-  // the blocking engine does.
-  void CompleteTask(Client& client, PendingTask& task, bool fifo_ordered = false);
-  // Cross-engine settle support (DESIGN.md §10): a settle-landed task whose
-  // predecessor has not fired defers its handler (HasEarlierUnfired); the
-  // predecessor's completion (or drop) cascades the done-but-unfired suffix
-  // in task order, keeping KFUNC order independent of the engine-pool size.
+  // Fires the task's handler once every earlier task of the client has fired
+  // its own (HasEarlierUnfired) — the one completion-ordering rule (DESIGN.md
+  // §9). Otherwise the task stays done-but-unfired, and the completion of its
+  // blocking predecessor cascades it (FireDeferredSuccessors). Every path —
+  // FIFO passes, reaps, promotion, dependency resolution, cross-engine
+  // settles (DESIGN.md §10), remap aliases (§11) — goes through this gate, so
+  // KFUNC order does not depend on the tier, the DMA completion mode or the
+  // engine-pool size.
+  void CompleteTask(Client& client, PendingTask& task);
   bool HasEarlierUnfired(const Client& client, uint64_t order) const;
+  // Fires the done-but-unfired prefix of the pending list in task order, then
+  // the landed segment prefix of the first unfired, incomplete task. Every
+  // completion, drop and reap ends with it.
   void FireDeferredSuccessors(Client& client);
   void DropTask(Client& client, PendingTask& task, const Status& reason);
   void RetireDone(Client& client);
@@ -397,15 +387,16 @@ class Engine {
                             size_t* producer_local);
 
   // Scatter-gather segment accounting: credits bytes landing at task-local
-  // [offset, offset+length) against the covering segments and fires each
-  // segment's KFUNC exactly once when its remaining byte count hits zero.
-  void CreditSgSegments(Client& client, PendingTask& task, size_t offset, size_t length,
-                        Cycles when);
+  // [offset, offset+length) against the segments they overlap (found through
+  // PendingTask::sg_ends, so each landing visits only those) and fires each
+  // segment's KFUNC exactly once when its remaining byte count hits zero and
+  // no earlier task is unfired.
+  void CreditSgSegments(Client& client, PendingTask& task, size_t offset, size_t length);
   // Fires the longest fully-credited segment prefix, in segment order.
-  void FireReadySgSegments(Client& client, PendingTask& task, Cycles when);
+  void FireReadySgSegments(PendingTask& task);
   // Fires every still-unfired segment KFUNC (task completion / abort — the
   // kernel buffers must be reclaimed exactly as the per-op path would).
-  void FireRemainingSgSegments(Client& client, PendingTask& task, Cycles when);
+  void FireRemainingSgSegments(PendingTask& task);
 
   // --- pending-range interval index maintenance and fused-path probes ---
   void IndexInsert(Client& client, PendingTask& task);
@@ -478,9 +469,10 @@ class Engine {
     std::atomic<uint64_t> last_kfunc_cycles{0};
   };
 
-  // Fires one KFUNC: charges its dispatch, runs it at `when` (the engine
-  // clock after the charge when unset), counts it.
-  void RunKfunc(const std::function<void(Cycles)>& fn, std::optional<Cycles> when);
+  // Fires one KFUNC: charges its dispatch, runs it stamped with the engine
+  // clock after the charge — the time it actually runs, not when the bytes it
+  // retires landed — and counts it.
+  void RunKfunc(const std::function<void(Cycles)>& fn);
   void NoteKfuncTime(Cycles when) {
     if (when > stats_.last_kfunc_cycles.load(std::memory_order_relaxed)) {
       stats_.last_kfunc_cycles.store(when, std::memory_order_relaxed);

@@ -276,10 +276,6 @@ bool CopierLinux::SupportsFusedIpc() const { return service_->config().enable_ip
 
 bool CopierLinux::SupportsRecvRing() const { return service_->config().enable_recv_ring; }
 
-bool CopierLinux::SupportsForwardFuse() const {
-  return service_->config().enable_ipc_fuse && service_->config().enable_forward_fuse;
-}
-
 void CopierLinux::NoteFuseEvent(simos::FuseEvent event) { service_->NoteIpcFuseEvent(event); }
 
 void CopierLinux::RegisterWindow(simos::Process* proc, uint64_t va, size_t length,

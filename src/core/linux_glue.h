@@ -54,10 +54,9 @@ class CopierLinux : public simos::SimKernel::TrapHooks, public simos::KernelCopy
   // same order as the two-step path's per-skb handlers. ResourceExhausted
   // (ring full) leaves no side effects; the kernel falls back to two-step.
   bool SupportsFusedIpc() const override;
-  // Multi-window receive rings and proxy-transparent forwarding (DESIGN.md
-  // §12) are independently ablatable on top of the fused path.
+  // Multi-window receive rings (DESIGN.md §12) are ablatable on top of the
+  // fused path; proxy-transparent forwarding rides the fused path itself.
   bool SupportsRecvRing() const override;
-  bool SupportsForwardFuse() const override;
   Status CopyFused(const simos::FusedCopyOp& op) override;
   void NoteFuseEvent(simos::FuseEvent event) override;
   // Pre-translates the posted window into every engine's ATCache so fused

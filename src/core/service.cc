@@ -662,10 +662,6 @@ void CopierService::NotifyRunnable(Client& client, uint64_t bytes_hint) {
 }
 
 void CopierService::WakeShard(size_t shard_index) {
-  if (!options_.config.enable_targeted_wakeup) {
-    Awaken();
-    return;
-  }
   // Redirect to the owning thread's wakeup channel (thread i sleeps on
   // shards_[i]): shard s >= active is covered by thread s % active.
   const size_t active = std::max<size_t>(1, active_threads_.load(std::memory_order_acquire));

@@ -321,8 +321,7 @@ class CopierService : public CrossEngineHooks {
   // no runnable mark (work pushed to rings without a NotifyRunnable — tests
   // and low-level users may do that legally).
   void ReconcileRunnable();
-  // Wakes the thread owning `shard` (targeted), or everyone (broadcast) when
-  // targeted wakeups are disabled.
+  // Wakes the thread owning `shard` (a targeted wakeup).
   void WakeShard(size_t shard);
   // Serves a picked client on engine `index` and releases it: accounts the
   // bytes, clears `serving`, and — atomically with the release, under the

@@ -171,11 +171,6 @@ class KernelCopyBackend {
   // synchronous baseline keeps rings on so ring semantics do not depend on
   // which backend is installed.
   virtual bool SupportsRecvRing() const { return true; }
-  // Proxy-transparent forwarding (DESIGN.md §12): whether a forward-posted
-  // window may dispatch a prefix-spliced src→destination-window CopyFused.
-  // Requires fused IPC; off on synchronous backends and under the
-  // enable_forward_fuse ablation.
-  virtual bool SupportsForwardFuse() const { return false; }
   // Send-time routing observability; fuse-capable backends forward these to
   // the service's IpcFuseStats counters.
   virtual void NoteFuseEvent(FuseEvent event) { (void)event; }

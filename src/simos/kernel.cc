@@ -96,8 +96,8 @@ StatusOr<size_t> SimKernel::Send(Process& proc, SimSocket* sock, uint64_t va, si
       result = SendClassic(proc, sock, va, length, ctx, opts);
     } else {
       bool forwarded = false;
-      if (win->filled == 0 && !peer->HasData() && peer->forward_rule() != nullptr &&
-          backend_->SupportsForwardFuse()) {
+      if (fuse_capable && win->filled == 0 && !peer->HasData() &&
+          peer->forward_rule() != nullptr) {
         result = SendForward(proc, peer, win, va, length, ctx, &forwarded);
       }
       if (!forwarded) {

@@ -66,11 +66,9 @@ class EngineRoundProbe {
       engine.ReapParkedDma(client, engine.ctx()->now());
     }
     r.engine_free = engine.ctx()->now();
-    for (const auto& task : client.pending) {
-      if (task->bytes_done >= task->task.length) {
-        engine.CompleteTask(client, *task, /*fifo_ordered=*/true);
-      }
-    }
+    // Tasks the CPU side landed complete through the same cascade a reap
+    // ends with.
+    engine.FireDeferredSuccessors(client);
     return r;
   }
 };
@@ -1312,6 +1310,8 @@ struct ForwardRunResult {
   uint64_t kfuncs_run = 0;
   std::vector<uint32_t> probe;
   core::CopierService::IpcFuseStats fuse = {};
+  Cycles last_reclaim = 0;  // engine time at which the last reclaim KFUNC ran
+  Cycles window_ready = 0;  // when the proxy's window was marked ready
 };
 
 // Client ships "FWD <id> <len>\r\n<body>" into the proxy's forward-posted
@@ -1349,7 +1349,12 @@ ForwardRunResult RunForwardWorkload(bool fuse, size_t body_len, bool split_send)
   EXPECT_TRUE(pwin_or.ok() && kv_win_or.ok() && marshal_or.ok());
 
   ForwardRunResult result;
-  stack.kernel->SetKfuncProbe([&](uint32_t id) { result.probe.push_back(id); });
+  // One engine in manual mode serves every client.
+  core::Engine& engine = stack.service->engine();
+  stack.kernel->SetKfuncProbe([&](uint32_t id) {
+    result.probe.push_back(id);
+    result.last_reclaim = engine.ctx()->now();
+  });
 
   core::Descriptor d2(parcel_len);
   EXPECT_TRUE(binder.PostReceive(*kv, *kv_win_or, parcel_len, &d2, nullptr).ok());
@@ -1374,6 +1379,7 @@ ForwardRunResult RunForwardWorkload(bool fuse, size_t body_len, bool split_send)
   }
   EXPECT_TRUE(
       core::WaitDescriptor(d1, 0, n, nullptr, [&] { stack.service->DrainAll(); }).ok());
+  result.window_ready = d1.ReadyTime(0, n);
   auto reaped = stack.kernel->CompleteRecv(*proxy, rx, nullptr);
   EXPECT_TRUE(reaped.ok());
   EXPECT_EQ(*reaped, n);
@@ -1439,6 +1445,19 @@ TEST(ForwardFuse, PartialFrameDeclinesLosslessly) {
   EXPECT_GE(declined.fuse.fallback_forward, 1u);
   // The landing itself still fused into the posted window.
   EXPECT_GE(declined.fuse.fused, 1u);
+}
+
+// Causality of the bypassed window: the forward's last reclaim KFUNC marks
+// the proxy's window ready, so the window cannot be ready before the engine
+// ran the reclaim KFUNCs — a waiter on it must not go on before they did.
+// Shape: the bench_ipc_fuse pipeline-e2e 256 KiB forward-fused row.
+TEST(ForwardFuse, BypassedWindowIsReadyNoEarlierThanItsReclaimKfuncs) {
+  const ForwardRunResult fused =
+      RunForwardWorkload(/*fuse=*/true, 256 * kKiB, /*split_send=*/false);
+  ASSERT_EQ(fused.fuse.forward_fused, 1u);
+  ASSERT_GT(fused.last_reclaim, 0u);
+  EXPECT_GE(fused.window_ready, fused.last_reclaim)
+      << "the proxy's window was marked ready before its reclaim KFUNCs ran";
 }
 
 // Prefix length == header length with page-aligned endpoints: the spliced

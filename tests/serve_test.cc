@@ -450,5 +450,33 @@ TEST(ServeThreaded, SmallTraceVerifiesUnderRealThreads) {
   EXPECT_GT(result.latency.Count(), 0u);
 }
 
+// The shape bench_serve's threaded rows run: 16 connections, 4 KiB values
+// and proxy traffic. A GET of a 4 KiB value replies with 4105 bytes, which
+// the socket delivers in more than one flow-control chunk; the client must
+// read the whole reply, not just the chunk that has arrived.
+TEST(ServeThreaded, BenchShapeMultiChunkRepliesVerify) {
+  ServeOptions options;
+  options.workload = SmallWorkload(7);
+  options.workload.connections = 16;
+  options.workload.value_sizes = {64, 1024, 4096};
+  options.workload.proxy_fraction = 0.1;
+  options.workload.mean_gap_cycles = 20000;
+  options.threads = 2;
+  options.ns_per_cycle = 1.0;
+  const std::vector<ServeRequest> trace = BuildServeTrace(options.workload);
+  ASSERT_EQ(trace.size(), 160u);
+  ASSERT_TRUE(std::any_of(trace.begin(), trace.end(), [](const ServeRequest& req) {
+    return req.is_get && !req.via_proxy && req.value_bytes == 4096;
+  })) << "the trace must hold a GET whose reply spans two flow-control chunks";
+  ASSERT_TRUE(std::any_of(trace.begin(), trace.end(),
+                          [](const ServeRequest& req) { return req.via_proxy; }));
+
+  const ServeResult result = RunServeThreaded(options);
+  EXPECT_TRUE(result.replies_ok);
+  EXPECT_EQ(result.offered, options.workload.requests);
+  EXPECT_EQ(result.offered, result.admitted + result.shed);
+  ASSERT_EQ(result.records.size(), options.workload.requests);
+}
+
 }  // namespace
 }  // namespace copier::apps
