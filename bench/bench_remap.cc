@@ -157,7 +157,7 @@ void Run(const hw::TimingModel& t, bool json) {
     table.AddRow({row.scenario, std::to_string(row.bytes / kKiB),
                   std::to_string(row.copy.moved), std::to_string(row.remap.moved),
                   std::to_string(row.remap.remapped),
-                  "-" + TextTable::Num(row.drop_pct(), 1) + "%", ok ? "yes" : " NO "});
+                  std::string("-") + TextTable::Num(row.drop_pct(), 1) + "%", ok ? "yes" : " NO "});
   }
   table.Print();
 

@@ -26,6 +26,14 @@
 # Every bench runs and every gate is checked even after one fails; the
 # script then lists the failed gates and exits 1 if there are any.
 #
+# Six of the files are deterministic virtual-time output and regenerate
+# byte-identical (BENCH_submit_batch.json in quick mode): BENCH_queue_depth,
+# BENCH_submit_batch, BENCH_dma_channels, BENCH_remap, BENCH_ipc_fuse and
+# BENCH_cow. CI fails when `git diff --exit-code` finds any of them changed
+# after a quick run, so a change that moves a virtual-time row must commit
+# the regenerated file. BENCH_sched, BENCH_serve and BENCH_engines carry
+# host-clock rows that vary run to run.
+#
 # Usage: scripts/bench_smoke.sh [quick]
 #   quick — CI mode: the vectored-submission sweep runs its two-size subset
 #           and the throughput figure is skipped.

@@ -64,7 +64,7 @@ StatusOr<bool> MiniKv::ProcessOne(simos::SimSocket* sock, ExecContext* ctx) {
     return received.status();
   }
 
-  Cursor cursor{this, io_buf_, *received, 0, ctx};
+  Cursor cursor{this, io_buf_, *received, 0, ctx, {}};
   auto argc_line = cursor.ReadLine();  // "*2" | "*3"
   if (!argc_line.ok()) {
     return argc_line.status();

@@ -2,7 +2,10 @@
 //
 // The ablation switches (use_dma, enable_piggyback, enable_absorption,
 // enable_atcache) exist so the breakdown experiments (Fig. 12-c, Fig. 9) can
-// turn individual mechanisms off; defaults are the full system.
+// turn individual mechanisms off; the other enable_* flags keep the reference
+// side of a differential test or bench. Defaults are the full system. Every
+// field is set by some test, bench or app; a setting nothing varies is a
+// constant in the code that uses it.
 #ifndef COPIER_SRC_CORE_CONFIG_H_
 #define COPIER_SRC_CORE_CONFIG_H_
 
@@ -53,13 +56,6 @@ struct CopierConfig {
   // their reclaim KFUNCs ride the fused task. Off = every posted transfer
   // takes the two-step path (ablation / bench_ipc_fuse "two-step" mode).
   bool enable_ipc_fuse = true;
-
-  // Multi-window receive ring (DESIGN.md §12): sockets and Binder endpoints
-  // accept N pre-posted landing windows consumed in FIFO order, so pipelined
-  // senders at queue depth > 1 keep hitting a posted window instead of
-  // falling back to the staged skb path between the receiver's re-posts.
-  // Off = one window at a time (the historical single-window behaviour).
-  bool enable_recv_ring = true;
 
   // Vectored submission: Send/Recv/Binder publish one scatter-gather Copy
   // Task per syscall (one ring transaction, one barrier check, one doorbell)
@@ -118,16 +114,10 @@ struct CopierConfig {
   // either bound (bytes of copy work, or request count).
   uint64_t admission_max_inflight_bytes = 8 * kMiB;
   uint64_t admission_max_inflight_requests = 64;
-  // Ring-pressure feedback: each newly observed dma_ring_full_fallback puts
-  // admission into a back-off window covering the next N admission decisions.
-  uint64_t admission_ring_backoff = 8;
   // kDefer: suggested retry-after gap, and how many retries a submitter
   // should attempt before treating the request as shed.
   Cycles admission_defer_cycles = 50'000;
   uint64_t admission_max_defer_retries = 4;
-
-  // Lazy tasks execute when depended upon, aborted, or after this age (§4.4).
-  Cycles lazy_timeout_cycles = 10'000'000;
 
   // Service threads (§4.5.1).
   enum class PollMode {
@@ -137,12 +127,7 @@ struct CopierConfig {
   PollMode poll_mode = PollMode::kNapi;
   size_t min_threads = 1;
   size_t max_threads = 4;
-  double low_load = 0.2;   // auto-scaling thresholds (fraction of busy polls)
-  double high_load = 0.8;
   size_t idle_spins_before_sleep = 4096;
-
-  // Safety limit for recursive dependency resolution.
-  int max_dependency_depth = 16;
 };
 
 }  // namespace copier::core

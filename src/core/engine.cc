@@ -23,6 +23,10 @@ constexpr size_t kMaxSubtaskBytes = 16 * kKiB;
 // Smallest aliasable interior: below two pages the remap + TLB-shootdown
 // cost does not beat just copying the pages.
 constexpr size_t kMinRemapPages = 2;
+// Lazy tasks execute when depended upon, aborted, or after this age (§4.4).
+constexpr Cycles kLazyTimeoutCycles = 10'000'000;
+// Safety limit for recursive dependency resolution.
+constexpr int kMaxDependencyDepth = 16;
 // Engine decision dumps to stderr (accept/exec/abort/subtask; COPIER_TRACE2
 // adds the per-task pending scan), read once at startup.
 const bool kTrace = std::getenv("COPIER_TRACE") != nullptr;
@@ -152,12 +156,8 @@ bool SidesOverlap(const CopyTask& a, bool a_dst, const CopyTask& b, bool b_dst) 
   return false;
 }
 
-// Depth of cross-engine settles on this thread (DESIGN.md §10). While > 0,
-// force-landed tasks deliver their completion handlers in per-client task
-// order — a landing that overtakes an unfired predecessor stays done-but-
-// unfired until the predecessor's own completion cascades it — so KFUNC
-// firing order is identical for every engine-pool size.
-thread_local int t_cross_settle = 0;
+// Set while FireDeferredSuccessors runs on this thread: completions nested in
+// its cascade leave the rest of the chain to the outermost call.
 thread_local bool t_fire_cascade = false;
 
 }  // namespace
@@ -376,7 +376,7 @@ bool Engine::TaskIsSharedVisible(Client& client, const PendingTask& task) const 
     if (!piece.ref.is_user() || piece.ref.space != own) {
       return true;  // kernel host memory or a foreign address space
     }
-    if (cross_->DomainShared(piece.ref.domain(), client)) {
+    if (cross_->DomainShared(piece.ref.domain())) {
       return true;  // own space, but a foreign client has ranges here
     }
   }
@@ -617,7 +617,7 @@ void Engine::PromoteRange(Client& client, const MemRef& addr, size_t length) {
 
 Status Engine::ResolveDependencies(Client& client, PendingTask& task, size_t offset,
                                    size_t length, int depth) {
-  if (depth >= config_.max_dependency_depth) {
+  if (depth >= kMaxDependencyDepth) {
     return FailedPrecondition("dependency chain too deep");
   }
   // Probe windows: the task's own dst and src over [offset, offset+length),
@@ -828,7 +828,7 @@ void Engine::ResolveSources(Client& client, PendingTask& task, size_t src_offset
   // vectored producer exactly as through a plain one.
   std::vector<RefPiece> pieces;
   CollectPieces(task.task, /*dst_side=*/false, src_offset, length, &pieces);
-  const bool absorb = config_.enable_absorption && depth < config_.max_dependency_depth;
+  const bool absorb = config_.enable_absorption && depth < kMaxDependencyDepth;
   for (const RefPiece& p : pieces) {
     if (!absorb) {
       out->push_back({p.ref, p.length, false});
@@ -1579,7 +1579,7 @@ Status Engine::ExecuteTaskRange(Client& client, PendingTask& task, size_t offset
   if (task.Done() || length == 0) {
     return OkStatus();
   }
-  if (depth >= config_.max_dependency_depth) {
+  if (depth >= kMaxDependencyDepth) {
     return FailedPrecondition("dependency recursion limit");
   }
   offset = std::min(offset, task.task.length);
@@ -1731,11 +1731,9 @@ Status Engine::SettleSharedRange(Client& client, uint64_t domain, uint64_t start
       continue;  // already landed (e.g. absorbed or delivered): nothing to order
     }
     ++stats_.cross_dep_settles;
-    ++t_cross_settle;
     Status status =
         ExecuteTaskRange(client, *hit.task, hit.offset, hit.length, /*depth=*/0,
                          /*must_land=*/true);
-    --t_cross_settle;
     if (!status.ok()) {
       if (status.code() == StatusCode::kUnavailable) {
         stats_.cross_dep_wait_cycles += CtxNow(ctx_) - settle_start;
@@ -1844,7 +1842,7 @@ uint64_t Engine::ExecutePending(Client& client, uint64_t budget) {
         continue;
       }
       if (task.task.type == TaskType::kLazy && !task.promoted &&
-          now < task.task.submit_time + config_.lazy_timeout_cycles) {
+          now < task.task.submit_time + kLazyTimeoutCycles) {
         continue;
       }
       head = &task;
@@ -2214,7 +2212,7 @@ void Engine::RetireDone(Client& client) {
     // the domain turned shared has no ledger tombstone — this log entry is
     // the only record a foreign lower-gseq prober can import (SettleForeign's
     // owner-log scan). Keep it while such a prober may still be outstanding.
-    return cross_ == nullptr || !cross_->LandedWriteStillNeeded(w.domain, w.gseq);
+    return cross_ == nullptr || !cross_->LandedWriteStillNeeded(w.gseq);
   });
 }
 
@@ -2281,7 +2279,7 @@ void Engine::OnTaskDone(Client& client, PendingTask& task) {
     }
   }
   if (cross_ != nullptr && task.shared_visible) {
-    cross_->UnregisterShared(client, task);
+    cross_->UnregisterShared(task);
   }
 }
 
@@ -2433,9 +2431,13 @@ void Engine::SettleParkedRange(Client& client, PendingTask& task, size_t offset,
   if (target == 0) {
     return;  // nothing of this range is in flight
   }
-  if (ctx_ != nullptr && target > ctx_->now()) {
-    stats_.dma_drain_wait_cycles += target - ctx_->now();
-    ctx_->WaitUntil(target);
+  WaitAndReapParked(client, target);
+}
+
+void Engine::WaitAndReapParked(Client& client, Cycles until) {
+  if (ctx_ != nullptr && until > ctx_->now()) {
+    stats_.dma_drain_wait_cycles += until - ctx_->now();
+    ctx_->WaitUntil(until);
   }
   ReapParkedDma(client, CtxNow(ctx_));
 }
@@ -2467,11 +2469,7 @@ uint64_t Engine::ServeClient(Client& client, uint64_t max_bytes) {
       for (const Client::ParkedDma& batch : client.parked_dma) {
         earliest = std::min(earliest, batch.completion_time);
       }
-      if (ctx_ != nullptr && earliest > ctx_->now()) {
-        stats_.dma_drain_wait_cycles += earliest - ctx_->now();
-        ctx_->WaitUntil(earliest);
-      }
-      ReapParkedDma(client, CtxNow(ctx_));
+      WaitAndReapParked(client, earliest);
     }
     RetireDone(client);
   }

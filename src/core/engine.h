@@ -78,17 +78,16 @@ class CrossEngineHooks {
   virtual void RetireGlobalSeq(uint64_t gseq) = 0;
 
   // True while the cross-engine protocol still needs a *landed* write at
-  // `gseq` into `domain` kept in the writer's completed-write log: the domain
-  // is shared and a lower-gseq task may still be outstanding service-wide.
-  // Covers writes that landed before their domain turned shared (never
-  // registered, so no ledger tombstone exists); SettleForeign consults the
-  // claimed owner's log for exactly these.
-  virtual bool LandedWriteStillNeeded(uint64_t domain, uint64_t gseq) = 0;
+  // `gseq` kept in the writer's completed-write log: a lower-gseq task may
+  // still be outstanding service-wide. Covers writes that landed before their
+  // domain turned shared (never registered, so no ledger tombstone exists);
+  // SettleForeign consults the claimed owner's log for exactly these.
+  virtual bool LandedWriteStillNeeded(uint64_t gseq) = 0;
 
-  // True when a client other than `self` has ranges registered in `domain`
-  // (an address-space asid): own-space tasks of that domain must then join
-  // the shared ledger too.
-  virtual bool DomainShared(uint64_t domain, const Client& self) = 0;
+  // True once a client other than its owner has registered ranges in
+  // `domain` (an address-space asid): own-space tasks of that domain must
+  // then join the shared ledger too.
+  virtual bool DomainShared(uint64_t domain) = 0;
 
   // Registers / unregisters the dst and src pieces of a shared-visible task
   // in the ledger. Registration happens at ingestion (AcceptTask);
@@ -96,7 +95,7 @@ class CrossEngineHooks {
   // as tombstones for cross-client dead-write suppression until no live task
   // with a lower gseq remains.
   virtual void RegisterShared(Client& client, PendingTask& task) = 0;
-  virtual void UnregisterShared(Client& client, PendingTask& task) = 0;
+  virtual void UnregisterShared(PendingTask& task) = 0;
 
   // Orders the window [start, start+length) of `domain`, accessed by `task`
   // (writing it when `writes`), against foreign clients' conflicting ranges:
@@ -358,6 +357,9 @@ class Engine {
   void SettleTaskParked(Client& client, PendingTask& task) {
     SettleParkedRange(client, task, 0, task.task.length);
   }
+  // Advances the clock to `until` — charged as drain wait, not an execution
+  // stall — and lands every parked batch completed by then.
+  void WaitAndReapParked(Client& client, Cycles until);
   void MarkProgress(Client& client, PendingTask& task, size_t offset, size_t length,
                     Cycles when);
   // Fires the task's handler once every earlier task of the client has fired

@@ -274,8 +274,6 @@ Status CopierLinux::CopyV(const simos::UserCopyVecOp& op, size_t* segs_submitted
 
 bool CopierLinux::SupportsFusedIpc() const { return service_->config().enable_ipc_fuse; }
 
-bool CopierLinux::SupportsRecvRing() const { return service_->config().enable_recv_ring; }
-
 void CopierLinux::NoteFuseEvent(simos::FuseEvent event) { service_->NoteIpcFuseEvent(event); }
 
 void CopierLinux::RegisterWindow(simos::Process* proc, uint64_t va, size_t length,

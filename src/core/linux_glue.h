@@ -53,10 +53,8 @@ class CopierLinux : public simos::SimKernel::TrapHooks, public simos::KernelCopy
   // one SgSegment per flow-control chunk so token-reclaim KFUNCs fire in the
   // same order as the two-step path's per-skb handlers. ResourceExhausted
   // (ring full) leaves no side effects; the kernel falls back to two-step.
+  // Proxy-transparent forwarding rides the fused path itself.
   bool SupportsFusedIpc() const override;
-  // Multi-window receive rings (DESIGN.md §12) are ablatable on top of the
-  // fused path; proxy-transparent forwarding rides the fused path itself.
-  bool SupportsRecvRing() const override;
   Status CopyFused(const simos::FusedCopyOp& op) override;
   void NoteFuseEvent(simos::FuseEvent event) override;
   // Pre-translates the posted window into every engine's ATCache so fused

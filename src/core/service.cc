@@ -16,6 +16,14 @@ namespace {
 // spinning on its own claim (SettleForeign).
 thread_local std::vector<const Client*> t_serve_stack;
 
+// Ring-pressure feedback (DESIGN.md §13): each newly observed
+// dma_ring_full_fallback puts admission into a back-off window covering the
+// next kAdmissionRingBackoff admission decisions.
+constexpr uint64_t kAdmissionRingBackoff = 8;
+// Thread auto-scaling thresholds (fraction of busy polls, §4.5.1).
+constexpr double kLowLoad = 0.2;
+constexpr double kHighLoad = 0.8;
+
 bool ServeStackHolds(const Client& client) {
   return std::find(t_serve_stack.begin(), t_serve_stack.end(), &client) != t_serve_stack.end();
 }
@@ -249,13 +257,13 @@ CopierService::Admission CopierService::AdmitRequest(Client& client, uint64_t by
   }
 
   // Fold fresh engine saturation events (DMA ring-full doorbell bounces) into
-  // a back-off window covering the next admission_ring_backoff decisions. The
+  // a back-off window covering the next kAdmissionRingBackoff decisions. The
   // CAS makes each event batch arm exactly one window under concurrency.
   const uint64_t ring_now = overload_signals_.ring_full_events;
   uint64_t seen = ring_seen_.load(std::memory_order_relaxed);
   if (ring_now > seen &&
       ring_seen_.compare_exchange_strong(seen, ring_now, std::memory_order_relaxed)) {
-    ring_backoff_credits_.store(config.admission_ring_backoff, std::memory_order_relaxed);
+    ring_backoff_credits_.store(kAdmissionRingBackoff, std::memory_order_relaxed);
     ++ring_backoff_events_;
   }
 
@@ -758,10 +766,10 @@ void CopierService::ThreadMain(size_t index) {
       const double load = static_cast<double>(busy_polls) / 1024.0;
       busy_polls = 0;
       size_t active = active_threads_.load(std::memory_order_acquire);
-      if (load > options_.config.high_load && active < engines_.size()) {
+      if (load > kHighLoad && active < engines_.size()) {
         active_threads_.store(active + 1, std::memory_order_release);
         Awaken();
-      } else if (load < options_.config.low_load &&
+      } else if (load < kLowLoad &&
                  active > std::min<size_t>(std::max<size_t>(1, options_.config.min_threads),
                                            engines_.size())) {
         active_threads_.store(active - 1, std::memory_order_release);
@@ -925,8 +933,7 @@ uint64_t CopierService::MinOutstandingSeqLocked() const {
   return min_seq;
 }
 
-bool CopierService::LandedWriteStillNeeded(uint64_t domain, uint64_t gseq) {
-  (void)domain;
+bool CopierService::LandedWriteStillNeeded(uint64_t gseq) {
   std::lock_guard<std::mutex> lock(ledger_mu_);
   // Not gated on the domain being shared *yet*: the lower-gseq prober that
   // needs this entry may be the very task whose registration first turns the
@@ -934,8 +941,7 @@ bool CopierService::LandedWriteStillNeeded(uint64_t domain, uint64_t gseq) {
   return MinOutstandingSeqLocked() < gseq;
 }
 
-bool CopierService::DomainShared(uint64_t domain, const Client& self) {
-  (void)self;
+bool CopierService::DomainShared(uint64_t domain) {
   std::lock_guard<std::mutex> lock(ledger_mu_);
   return shared_domains_.count(domain) != 0;
 }
@@ -962,8 +968,7 @@ void CopierService::RegisterShared(Client& client, PendingTask& task) {
   ForEachSidePiece(task.task, /*dst_side=*/false, add(false));
 }
 
-void CopierService::UnregisterShared(Client& client, PendingTask& task) {
-  (void)client;
+void CopierService::UnregisterShared(PendingTask& task) {
   std::lock_guard<std::mutex> lock(ledger_mu_);
   // Landed (non-aborted) writes become tombstones: a lower-gseq foreign
   // writer probing the range later must still see — and be suppressed by —

@@ -248,10 +248,10 @@ class CopierService : public CrossEngineHooks {
   // --- cross-engine coordination (CrossEngineHooks, DESIGN.md §10) ------------
 
   uint64_t NextGlobalSeq() override;
-  bool DomainShared(uint64_t domain, const Client& self) override;
-  bool LandedWriteStillNeeded(uint64_t domain, uint64_t gseq) override;
+  bool DomainShared(uint64_t domain) override;
+  bool LandedWriteStillNeeded(uint64_t gseq) override;
   void RegisterShared(Client& client, PendingTask& task) override;
-  void UnregisterShared(Client& client, PendingTask& task) override;
+  void UnregisterShared(PendingTask& task) override;
   Status SettleForeign(Engine& thief, Client& client, PendingTask& task, uint64_t domain,
                        uint64_t start, size_t length, bool writes) override;
 

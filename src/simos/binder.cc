@@ -174,38 +174,7 @@ StatusOr<BinderDriver::Transaction> BinderDriver::TransactPosted(
 
 Status BinderDriver::PostReceive(Process& server, uint64_t va, size_t length, void* descriptor,
                                  ExecContext* ctx) {
-  if (length == 0) {
-    return InvalidArgument("zero-length receive window");
-  }
-  kernel_->TrapEnter(server, ctx);
-  auto window = std::make_unique<PostedWindow>();
-  window->proc = &server;
-  window->va = va;
-  window->length = length;
-  window->descriptor = descriptor;
-  Status status = OkStatus();
-  bool behind = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!posted_.empty() && !kernel_->copy_backend()->SupportsRecvRing()) {
-      status = FailedPrecondition("a receive window is already posted");
-    } else {
-      behind = !posted_.empty();
-      posted_.push_back(std::move(window));
-    }
-  }
-  if (status.ok()) {
-    if (behind) {
-      kernel_->copy_backend()->NoteFuseEvent(FuseEvent::kRingWindowPosted);
-    }
-    // Registration (DESIGN.md §12): pre-translate the window so a fused
-    // transact lands on warm ATCache entries; the walk is the server's
-    // post-time cost, overlapped with the client's send.
-    kernel_->copy_backend()->RegisterWindow(&server, va, length, ctx);
-  }
-  ChargeCtx(ctx, kernel_->timing().binder_transaction_cycles / 4);  // driver bookkeeping
-  kernel_->TrapExit(server, ctx);
-  return status;
+  return PostReceiveRing(server, {{va, length, descriptor}}, ctx);
 }
 
 Status BinderDriver::PostReceiveRing(Process& server,
@@ -220,12 +189,6 @@ Status BinderDriver::PostReceiveRing(Process& server,
     }
   }
   KernelCopyBackend* backend = kernel_->copy_backend();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!backend->SupportsRecvRing() && (windows.size() > 1 || !posted_.empty())) {
-      return FailedPrecondition("receive ring not supported (one window at a time)");
-    }
-  }
   kernel_->TrapEnter(server, ctx);
   for (const SimKernel::RecvWindowSpec& spec : windows) {
     auto window = std::make_unique<PostedWindow>();
@@ -242,6 +205,9 @@ Status BinderDriver::PostReceiveRing(Process& server,
     if (behind) {
       backend->NoteFuseEvent(FuseEvent::kRingWindowPosted);
     }
+    // Registration (DESIGN.md §12): pre-translate the window so a fused
+    // transact lands on warm ATCache entries; the walk is the server's
+    // post-time cost, overlapped with the client's send.
     backend->RegisterWindow(&server, spec.va, spec.length, ctx);
   }
   ChargeCtx(ctx, kernel_->timing().binder_transaction_cycles / 4);  // driver bookkeeping

@@ -59,10 +59,9 @@ class BinderDriver : public ForwardEndpoint {
   // IPC): the next Transact whose payload fits lands directly in
   // [va, va+length) instead of bouncing through a mapped kernel buffer.
   // `descriptor` is the server's libCopier descriptor covering the window —
-  // it replaces Transact's for the posted transaction. Windows form a FIFO
-  // ring on a ring-capable backend (SupportsRecvRing); transactions consume
-  // the front window, so pipelined clients stay fused at depth > 1. One
-  // window at a time otherwise.
+  // it replaces Transact's for the posted transaction. The one-window
+  // PostReceiveRing: windows form a FIFO ring and transactions consume the
+  // front window, so pipelined clients stay fused at depth > 1.
   Status PostReceive(Process& server, uint64_t va, size_t length, void* descriptor,
                      ExecContext* ctx);
   // Posts a whole ring of landing windows in ONE trap (per-window ATCache

@@ -164,13 +164,6 @@ class KernelCopyBackend {
     (void)op;
     return Unimplemented("backend cannot fuse IPC transfers");
   }
-  // Multi-window receive ring (DESIGN.md §12): whether endpoints may hold
-  // more than one posted window at a time. A kernel capability rather than a
-  // fuse capability — ring windows work with the two-step path too — but the
-  // Copier backend gates it on the enable_recv_ring ablation flag. The
-  // synchronous baseline keeps rings on so ring semantics do not depend on
-  // which backend is installed.
-  virtual bool SupportsRecvRing() const { return true; }
   // Send-time routing observability; fuse-capable backends forward these to
   // the service's IpcFuseStats counters.
   virtual void NoteFuseEvent(FuseEvent event) { (void)event; }

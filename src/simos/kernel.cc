@@ -503,36 +503,7 @@ Status SimKernel::DrainRxIntoWindow(Process& submit_proc, SimSocket* sock, Poste
 
 StatusOr<size_t> SimKernel::PostRecv(Process& proc, SimSocket* sock, uint64_t va, size_t length,
                                      ExecContext* ctx, const RecvOptions& opts) {
-  if (length == 0) {
-    return InvalidArgument("zero-length receive window");
-  }
-  TrapEnter(proc, ctx);
-  auto window = std::make_unique<PostedWindow>();
-  window->proc = &proc;
-  window->va = va;
-  window->length = length;
-  window->descriptor = opts.descriptor;
-  PostedWindow* win = window.get();
-  const bool behind = sock->HasPostedWindow();
-  Status status = sock->PostWindow(std::move(window), backend_->SupportsRecvRing());
-  if (!status.ok()) {
-    TrapExit(proc, ctx);
-    return status;
-  }
-  if (behind) {
-    backend_->NoteFuseEvent(FuseEvent::kRingWindowPosted);
-  }
-  // Registration (DESIGN.md §12): pre-translate the window so fused sends
-  // land on warm ATCache entries; the walk is the receiver's post-time cost.
-  backend_->RegisterWindow(&proc, va, length, ctx);
-  // Staged-then-fused: bytes already queued were sent before the window
-  // existed — drain them into the ring now so stream order is preserved.
-  status = DrainRxIntoRing(proc, sock, ctx);
-  TrapExit(proc, ctx);
-  if (!status.ok()) {
-    return status;
-  }
-  return win->filled;
+  return PostRecvRing(proc, sock, {{va, length, opts.descriptor}}, ctx);
 }
 
 StatusOr<size_t> SimKernel::PostRecvRing(Process& proc, SimSocket* sock,
@@ -546,9 +517,6 @@ StatusOr<size_t> SimKernel::PostRecvRing(Process& proc, SimSocket* sock,
       return InvalidArgument("zero-length receive window");
     }
   }
-  if (!backend_->SupportsRecvRing() && (windows.size() > 1 || sock->HasPostedWindow())) {
-    return FailedPrecondition("receive ring not supported (one window at a time)");
-  }
   TrapEnter(proc, ctx);
   std::vector<PostedWindow*> posted;
   posted.reserve(windows.size());
@@ -558,22 +526,19 @@ StatusOr<size_t> SimKernel::PostRecvRing(Process& proc, SimSocket* sock,
     window->va = spec.va;
     window->length = spec.length;
     window->descriptor = spec.descriptor;
-    PostedWindow* win = window.get();
-    const bool behind = sock->HasPostedWindow();
-    Status status = sock->PostWindow(std::move(window), backend_->SupportsRecvRing());
-    if (!status.ok()) {
-      TrapExit(proc, ctx);
-      return status;
-    }
-    if (behind) {
+    posted.push_back(window.get());
+    if (sock->HasPostedWindow()) {
       backend_->NoteFuseEvent(FuseEvent::kRingWindowPosted);
     }
-    // Per-window registration: every ring window gets its pages pre-walked
-    // into the ATCache at post time, so the Nth pipelined send is as warm as
-    // the first.
+    sock->PostWindow(std::move(window));
+    // Registration (DESIGN.md §12): every window's pages are pre-walked into
+    // the ATCache at post time, so fused sends — the Nth pipelined one as
+    // much as the first — land on warm entries; the walk is the receiver's
+    // post-time cost.
     backend_->RegisterWindow(&proc, spec.va, spec.length, ctx);
-    posted.push_back(win);
   }
+  // Staged-then-fused: bytes already queued were sent before the windows
+  // existed — drain them into the ring now so stream order is preserved.
   const Status status = DrainRxIntoRing(proc, sock, ctx);
   TrapExit(proc, ctx);
   if (!status.ok()) {

@@ -80,9 +80,8 @@ class SimKernel {
   // directly in it. Skbs already queued are staged-drained into the window
   // immediately (staged-then-fused). Returns the bytes staged. The app csyncs
   // opts.descriptor (which covers the window's byte space) for readiness.
-  // On a ring-capable backend (SupportsRecvRing) windows may be posted behind
-  // one another; sends fill them in FIFO order and CompleteRecv reaps the
-  // front one.
+  // The one-window PostRecvRing: the window goes behind any already posted;
+  // sends fill them in FIFO order and CompleteRecv reaps the front one.
   StatusOr<size_t> PostRecv(Process& proc, SimSocket* sock, uint64_t va, size_t length,
                             ExecContext* ctx, const RecvOptions& opts = {});
 

@@ -139,18 +139,9 @@ size_t SimSocket::ConsumeRx(size_t max, Cycles* latest_delivery,
   return consumed;
 }
 
-Status SimSocket::PostWindow(std::unique_ptr<PostedWindow> window, bool allow_ring) {
+void SimSocket::PostWindow(std::unique_ptr<PostedWindow> window) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (!posted_.empty() && !allow_ring) {
-    return FailedPrecondition("a receive window is already posted");
-  }
   posted_.push_back(std::move(window));
-  return OkStatus();
-}
-
-PostedWindow* SimSocket::posted_window() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return posted_.empty() ? nullptr : posted_.front().get();
 }
 
 PostedWindow* SimSocket::ActiveWindow() const {

@@ -176,17 +176,14 @@ class SimSocket {
   SimSocket* peer() { return peer_; }
   SkbPool* pool() { return pool_; }
 
-  // Posted window registry — a FIFO ring (DESIGN.md §12). Sends land in the
-  // first window with room (ActiveWindow); CompleteRecv reaps the front
-  // window; Recv() is rejected while any window is posted. Posting behind an
-  // existing window requires `allow_ring` (the backend's SupportsRecvRing);
-  // otherwise the historical one-window-at-a-time rule applies. Pointers stay
-  // owned by the socket until TakeWindow. The kernel mutates `filled` from
-  // send syscalls without the socket lock — post/send/complete on one socket
-  // are syscall-serialized by the apps, as stream sockets require anyway.
-  Status PostWindow(std::unique_ptr<PostedWindow> window, bool allow_ring = false);
-  // Front (oldest) posted window; null when none. The reap order.
-  PostedWindow* posted_window() const;
+  // Posted window registry — a FIFO ring (DESIGN.md §12). A window is posted
+  // behind any already posted; sends land in the first window with room
+  // (ActiveWindow); CompleteRecv reaps the front window; Recv() is rejected
+  // while any window is posted. Pointers stay owned by the socket until
+  // TakeWindow. The kernel mutates `filled` from send syscalls without the
+  // socket lock — post/send/complete on one socket are syscall-serialized by
+  // the apps, as stream sockets require anyway.
+  void PostWindow(std::unique_ptr<PostedWindow> window);
   // First posted window with room for more bytes; null when none or all full.
   PostedWindow* ActiveWindow() const;
   bool HasPostedWindow() const;

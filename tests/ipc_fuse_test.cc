@@ -499,7 +499,7 @@ TEST(IpcFuse, RecvRejectedWhileWindowPosted) {
   ASSERT_TRUE(stack.kernel->PostRecv(*peer, rx, *win_or, kPageSize, nullptr, {}).ok());
   auto r = stack.kernel->Recv(*peer, rx, *win_or, kPageSize, nullptr);
   EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
-  // A second post extends the receive ring (enable_recv_ring default).
+  // A second post extends the receive ring.
   ASSERT_TRUE(
       stack.kernel->PostRecv(*peer, rx, *win_or + kPageSize, kPageSize, nullptr, {}).ok());
   for (int i = 0; i < 2; ++i) {
@@ -512,24 +512,165 @@ TEST(IpcFuse, RecvRejectedWhileWindowPosted) {
             StatusCode::kUnavailable);
 }
 
-TEST(IpcFuse, DoublePostRejectedWithoutRecvRing) {
-  core::CopierConfig config;
-  config.enable_recv_ring = false;
-  CopierStack stack(config);
+// PostRecv and PostReceive post the one-window ring: on twin stacks, posting
+// the same window through the single call and through the ring call returns
+// the same, charges the receiver the same, counts the same ring windows and
+// lands the same bytes. Each pair runs with stream bytes already queued when
+// the window is posted (for Binder: a buffer-path transaction still held)
+// and with a window already posted in front of it.
+constexpr size_t kFrontWindow = 6 * kKiB + 40;
+constexpr size_t kPostedWindow = 20 * kKiB + 123;
+
+struct OnePostResult {
+  StatusCode code = StatusCode::kOk;
+  size_t staged = 0;     // bytes the post drained into the window (sockets)
+  Cycles rx_clock = 0;   // receiver clock right after the post
+  uint64_t ring_windows_posted = 0;
+  std::vector<uint8_t> landed;    // every posted window, front first
+  std::vector<uint8_t> expected;  // the sender's bytes for those windows
+};
+
+OnePostResult PostSocketWindowOnce(bool ring, bool queued, bool behind) {
+  CopierStack stack;
   simos::Process* peer = stack.kernel->CreateProcess("peer");
   stack.service->AttachProcess(peer);
   auto [tx, rx] = stack.kernel->CreateSocketPair();
-  (void)tx;
-  auto win_or = peer->mem().MapAnonymous(kPageSize, "win", true);
-  ASSERT_TRUE(win_or.ok());
-  ASSERT_TRUE(stack.kernel->PostRecv(*peer, rx, *win_or, kPageSize, nullptr, {}).ok());
-  auto p = stack.kernel->PostRecv(*peer, rx, *win_or, kPageSize, nullptr, {});
-  EXPECT_EQ(p.status().code(), StatusCode::kFailedPrecondition);
-  auto filled = stack.kernel->CompleteRecv(*peer, rx, nullptr);
-  ASSERT_TRUE(filled.ok());
-  EXPECT_EQ(*filled, 0u);
-  EXPECT_EQ(stack.kernel->Recv(*peer, rx, *win_or, kPageSize, nullptr).status().code(),
-            StatusCode::kUnavailable);
+  const size_t front = behind ? kFrontWindow : 0;
+  const size_t total = front + kPostedWindow;
+  const uint64_t src = stack.Map(total, "src");
+  FillPattern(stack.proc->mem(), src, total, 0x0DE + total);
+  auto win_or = peer->mem().MapAnonymous(total, "win", true);
+  EXPECT_TRUE(win_or.ok());
+  ExecContext rx_ctx("rx");
+
+  size_t sent_total = 0;
+  const auto send_until = [&](size_t until) {
+    while (sent_total < until) {
+      auto sent = stack.kernel->Send(*stack.proc, tx, src + sent_total, until - sent_total,
+                                     nullptr);
+      ASSERT_TRUE(sent.ok()) << sent.status().ToString();
+      sent_total += *sent;
+      stack.service->DrainAll();
+    }
+  };
+  if (queued) {
+    send_until(front + kPostedWindow / 2);  // the front window's bytes and half of ours
+  }
+  core::Descriptor front_descriptor(kFrontWindow);
+  if (behind) {
+    EXPECT_TRUE(stack.kernel->PostRecvRing(*peer, rx, {{*win_or, front, &front_descriptor}},
+                                           &rx_ctx)
+                    .ok());
+  }
+  core::Descriptor descriptor(kPostedWindow);
+  const uint64_t va = *win_or + front;
+  simos::RecvOptions ropts;
+  ropts.descriptor = &descriptor;
+  const StatusOr<size_t> staged =
+      ring ? stack.kernel->PostRecvRing(*peer, rx, {{va, kPostedWindow, &descriptor}}, &rx_ctx)
+           : stack.kernel->PostRecv(*peer, rx, va, kPostedWindow, &rx_ctx, ropts);
+  OnePostResult result;
+  result.code = staged.status().code();
+  result.staged = staged.ok() ? *staged : 0;
+  result.rx_clock = rx_ctx.now();
+
+  send_until(total);
+  const auto reap = [&](core::Descriptor& d, size_t length) {
+    EXPECT_TRUE(
+        core::WaitDescriptor(d, 0, length, nullptr, [&] { stack.service->DrainAll(); }).ok());
+    auto filled = stack.kernel->CompleteRecv(*peer, rx, &rx_ctx);
+    ASSERT_TRUE(filled.ok()) << filled.status().ToString();
+    EXPECT_EQ(*filled, length);
+  };
+  if (behind) {
+    reap(front_descriptor, front);
+  }
+  reap(descriptor, kPostedWindow);
+  result.ring_windows_posted = stack.service->ipc_fuse_stats().ring_windows_posted;
+  result.landed = ReadAll(peer->mem(), *win_or, total);
+  result.expected = ReadAll(stack.proc->mem(), src, total);
+  return result;
+}
+
+OnePostResult PostBinderWindowOnce(bool ring, bool queued, bool behind) {
+  CopierStack stack;
+  simos::Process* server = stack.kernel->CreateProcess("server");
+  stack.service->AttachProcess(server);
+  simos::BinderDriver binder(stack.kernel.get());
+  const size_t front = behind ? kFrontWindow : 0;
+  const size_t total = front + kPostedWindow;
+  const uint64_t msg = stack.Map(total, "msg");
+  FillPattern(stack.proc->mem(), msg, total, 0xB1D + total);
+  auto win_or = server->mem().MapAnonymous(total, "win", true);
+  EXPECT_TRUE(win_or.ok());
+  ExecContext rx_ctx("server");
+
+  std::optional<simos::BinderDriver::Transaction> held;
+  if (queued) {
+    auto txn = binder.Transact(*stack.proc, msg, kPageSize, nullptr);
+    EXPECT_TRUE(txn.ok()) << txn.status().ToString();
+    EXPECT_FALSE(txn->in_window);
+    held = *txn;
+    stack.service->DrainAll();
+  }
+  core::Descriptor front_descriptor(kFrontWindow);
+  if (behind) {
+    EXPECT_TRUE(
+        binder.PostReceiveRing(*server, {{*win_or, front, &front_descriptor}}, &rx_ctx).ok());
+  }
+  core::Descriptor descriptor(kPostedWindow);
+  const uint64_t va = *win_or + front;
+  const Status posted =
+      ring ? binder.PostReceiveRing(*server, {{va, kPostedWindow, &descriptor}}, &rx_ctx)
+           : binder.PostReceive(*server, va, kPostedWindow, &descriptor, &rx_ctx);
+  OnePostResult result;
+  result.code = posted.code();
+  result.rx_clock = rx_ctx.now();
+
+  const auto transact = [&](size_t offset, size_t length, core::Descriptor& d) {
+    auto txn = binder.Transact(*stack.proc, msg + offset, length, nullptr);
+    ASSERT_TRUE(txn.ok()) << txn.status().ToString();
+    EXPECT_TRUE(txn->in_window);
+    EXPECT_TRUE(
+        core::WaitDescriptor(d, 0, length, nullptr, [&] { stack.service->DrainAll(); }).ok());
+    binder.Release(txn->id);
+  };
+  if (behind) {
+    transact(0, front, front_descriptor);
+  }
+  transact(front, kPostedWindow, descriptor);
+  if (held.has_value()) {
+    binder.Release(held->id);
+  }
+  result.ring_windows_posted = stack.service->ipc_fuse_stats().ring_windows_posted;
+  result.landed = ReadAll(server->mem(), *win_or, total);
+  result.expected = ReadAll(stack.proc->mem(), msg, total);
+  return result;
+}
+
+void ExpectSamePost(const OnePostResult& single, const OnePostResult& ring, bool behind) {
+  EXPECT_EQ(single.code, StatusCode::kOk);
+  EXPECT_EQ(single.code, ring.code);
+  EXPECT_EQ(single.staged, ring.staged);
+  EXPECT_EQ(single.rx_clock, ring.rx_clock);
+  EXPECT_GT(single.rx_clock, 0u);
+  EXPECT_EQ(single.ring_windows_posted, behind ? 1u : 0u);
+  EXPECT_EQ(single.ring_windows_posted, ring.ring_windows_posted);
+  EXPECT_EQ(single.landed, single.expected);
+  EXPECT_EQ(single.landed, ring.landed);
+}
+
+TEST(IpcFuse, SinglePostIsTheOneWindowRing) {
+  for (const bool queued : {false, true}) {
+    for (const bool behind : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "queued=" << queued << " behind=" << behind);
+      const OnePostResult socket = PostSocketWindowOnce(/*ring=*/false, queued, behind);
+      ExpectSamePost(socket, PostSocketWindowOnce(/*ring=*/true, queued, behind), behind);
+      EXPECT_EQ(socket.staged, queued ? kPostedWindow / 2 : 0u);
+      ExpectSamePost(PostBinderWindowOnce(/*ring=*/false, queued, behind),
+                     PostBinderWindowOnce(/*ring=*/true, queued, behind), behind);
+    }
+  }
 }
 
 // A sender store into the in-flight range blocks until the fused copy lands:
